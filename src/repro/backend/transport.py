@@ -1,12 +1,10 @@
 """GASNet-shim conduit transport for the process backend.
 
-:class:`ProcessTransport` duck-types the simulator's
-:class:`~repro.net.transport.Network` exactly as far as the layers above
-consume it — ``send`` returning a :class:`DeliveryReceipt`, the
-two-level membership surface (``suspects`` / ``confirmed`` / quarantine
-/ ``confirm_dead``), the ``on_delivery`` hook the failure detector
-installs, and the diagnostic attributes ``stall_report`` reads — but
-moves real bytes: each active message is pickled with the wire format
+:class:`ProcessTransport` is the process backend's wire under the send
+gate it shares with the simulator's :class:`~repro.net.transport.Network`
+(:class:`~repro.net.transport.Transport`: two-level membership,
+quarantine, fail-fast sends and :class:`PeerFailedError`).  It moves
+real bytes: each active message is pickled with the wire format
 (:mod:`repro.backend.wire`) and pushed onto the destination worker's
 multiprocessing queue by the sending process; the destination's
 progress thread hands it to the destination's run loop, which unpickles
@@ -18,50 +16,29 @@ is no retransmission machinery; ``want_ack`` sends are tracked in an
 awaiting-ack table and an explicit ack frame — sent *after* the deliver
 callback has run, matching the simulator's ack ordering — resolves
 ``receipt.delivered``.  What CAN fail is the peer process itself: a
-killed worker never acks, and when the failure detector confirms it
-dead, :meth:`confirm_dead` fails every awaiting-ack receipt and every
-quarantined send with :class:`PeerFailedError` — the exact signal the
-finish/recovery layer reconciles on in the simulator.
+killed worker never acks, so when it crashes or the failure detector
+confirms it dead, every awaiting-ack receipt toward it fails with
+:class:`PeerFailedError` — the exact signal the finish/recovery layer
+reconciles on in the simulator.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Optional
-
-from repro.net.transport import DeliveryReceipt, Message, PeerFailedError
+from repro.net.transport import DeliveryReceipt, Message, Transport
 from repro.backend.wire import dump_frame, load_frame
 
 
-class ProcessTransport:
+class ProcessTransport(Transport):
     """One per worker process; world-addressed send/receive over the
     conduit's per-rank queues."""
 
     def __init__(self, sim, params, stats, conduit):
-        self.sim = sim
-        self.params = params
-        self.stats = stats
+        super().__init__(sim, params, stats)
         self.conduit = conduit
         self.local_rank: int = conduit.rank
         #: bound by the Machine once the AM layer exists
         self.machine = None
         self.am_deliver = None
-        # -- Network surface the layers above read ---------------------- #
-        self.faults = None
-        self.tracer = None
-        self.suspects: set[int] = set()
-        self.confirmed: set[int] = set()
-        self._dead: set[int] = set()
-        self.on_delivery = None
-        self.on_crash = None
-        self.schedule_source = None
-        self.lost: list = []
-        self.link_retransmits: dict = {}
-        self._tx_pending: dict = {}
-        self._quarantine: dict[int, list] = {}
-        self.quarantine_cap = 256
-        # -- conduit state ---------------------------------------------- #
-        self._seq = itertools.count(1)
         #: (dst, seq) -> receipt of a transmitted want_ack send
         self._awaiting: dict[tuple, DeliveryReceipt] = {}
 
@@ -73,23 +50,9 @@ class ProcessTransport:
     # Send path
     # ------------------------------------------------------------------ #
 
-    def send(self, msg: Message, want_ack: bool = False,
-             best_effort: bool = False) -> DeliveryReceipt:
-        msg.seq = next(self._seq)
-        receipt = DeliveryReceipt(msg, want_ack)
-        dst = msg.dst
-        if dst in self.confirmed or dst in self._dead:
-            self._fail_fresh_send(msg, receipt)
-            return receipt
-        if dst in self.suspects and not best_effort:
-            self._park(msg, receipt)
-            return receipt
-        self.stats.incr("net.msgs")
+    def _send_now(self, msg: Message, receipt: DeliveryReceipt,
+                  best_effort: bool) -> None:
         self.stats.incr("net.bytes", msg.size)
-        self._transmit(msg, receipt)
-        return receipt
-
-    def _transmit(self, msg: Message, receipt: DeliveryReceipt) -> None:
         if msg.dst == self.local_rank:
             # Loopback: no pickling (reference semantics, same as the
             # simulator's local delivery) but still asynchronous.
@@ -110,32 +73,6 @@ class ProcessTransport:
             msg.on_deliver(msg)
         if receipt.delivered is not None and not receipt.delivered.done:
             receipt.delivered.set_result(None)
-
-    def _fail_fresh_send(self, msg: Message,
-                         receipt: DeliveryReceipt) -> None:
-        self.stats.incr("net.peer_failed")
-        if receipt.delivered is not None:
-            receipt.delivered.set_exception(PeerFailedError(
-                f"send of {msg!r} abandoned: image {msg.dst} is "
-                + ("confirmed dead" if msg.dst not in self._dead
-                   else "crashed"),
-                peer=msg.dst, suspected=msg.dst not in self._dead))
-        self.sim.call_soon(receipt.injected.set_result, None)
-
-    def _park(self, msg: Message, receipt: DeliveryReceipt) -> None:
-        queue = self._quarantine.setdefault(msg.dst, [])
-        if len(queue) >= self.quarantine_cap:
-            self.stats.incr("net.quarantine_overflow")
-            self.stats.incr("net.peer_failed")
-            if receipt.delivered is not None:
-                receipt.delivered.set_exception(PeerFailedError(
-                    f"send of {msg!r} abandoned: quarantine for suspected "
-                    f"image {msg.dst} is full ({self.quarantine_cap})",
-                    peer=msg.dst, suspected=True))
-            self.sim.call_soon(receipt.injected.set_result, None)
-            return
-        self.stats.incr("net.quarantined")
-        queue.append(("send", msg, receipt, False))
 
     # ------------------------------------------------------------------ #
     # Receive path (run-loop thread; the progress thread only posts)
@@ -168,76 +105,16 @@ class ProcessTransport:
                 receipt.delivered.set_result(None)
 
     # ------------------------------------------------------------------ #
-    # Membership (same contract as Network)
+    # Peer loss and diagnostics
     # ------------------------------------------------------------------ #
 
-    def mark_suspect(self, image: int) -> None:
-        self.suspects.add(image)
-
-    def unmark_suspect(self, image: int) -> None:
-        self.suspects.discard(image)
-        queue = self._quarantine.pop(image, None)
-        if not queue:
-            return
-        self.stats.incr("net.quarantine_flushed", len(queue))
-        for _tag, msg, receipt, _be in queue:
-            self.stats.incr("net.msgs")
-            self.stats.incr("net.bytes", msg.size)
-            self._transmit(msg, receipt)
-
-    def confirm_dead(self, image: int) -> None:
-        if image in self.confirmed:
-            return
-        self.suspects.add(image)
-        self.confirmed.add(image)
-        self._fail_quarantined(image, suspected=True)
-        self._fail_awaiting(image, suspected=True)
-
-    def mark_dead(self, image: int) -> None:
-        if image in self._dead:
-            return
-        self._dead.add(image)
-        self.stats.incr("net.images_dead")
-        self._fail_quarantined(image, suspected=False)
-        self._fail_awaiting(image, suspected=False)
-
-    def _fail_quarantined(self, image: int, suspected: bool) -> None:
-        queue = self._quarantine.pop(image, None)
-        if not queue:
-            return
-        verdict = "confirmed dead" if suspected else "crashed"
-        for _tag, msg, receipt, _be in queue:
-            self.stats.incr("net.peer_failed")
-            if receipt.delivered is not None and not receipt.delivered.done:
-                receipt.delivered.set_exception(PeerFailedError(
-                    f"quarantined send of {msg!r} abandoned: image "
-                    f"{image} is {verdict}", peer=image,
-                    suspected=suspected))
-            self.sim.call_soon(receipt.injected.set_result, None)
-
-    def _fail_awaiting(self, image: int, suspected: bool) -> None:
+    def _peer_lost(self, image: int, crashed: bool) -> None:
         """A peer process died: its acks will never come.  Failing the
         awaiting receipts is what turns an OS-level kill into the same
         :class:`PeerFailedError` signal the recovery ledger re-executes
         on (``spawn._delivery_outcome``)."""
-        verdict = "confirmed dead" if suspected else "crashed"
         for key in [k for k in self._awaiting if k[0] == image]:
-            receipt = self._awaiting.pop(key)
-            self.stats.incr("net.peer_failed")
-            if receipt.delivered is not None and not receipt.delivered.done:
-                receipt.delivered.set_exception(PeerFailedError(
-                    f"ack for {receipt.message!r} abandoned: image "
-                    f"{image} is {verdict}", peer=image,
-                    suspected=suspected))
+            self._fail(self._awaiting.pop(key), "acknowledgment", image)
 
-    # ------------------------------------------------------------------ #
-    # Diagnostics
-    # ------------------------------------------------------------------ #
-
-    def nic_busy_until(self, image: int) -> float:
-        return self.sim.now
-
-    def unacked(self) -> list[str]:
-        return [f"{r.message.kind} #{r.message.seq} "
-                f"{self.local_rank}->{dst} (awaiting ack)"
-                for (dst, _seq), r in self._awaiting.items()]
+    def _awaiting_ack(self):
+        return (r.message for r in self._awaiting.values())

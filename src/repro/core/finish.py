@@ -440,8 +440,8 @@ def stall_report(machine, blocked: list) -> str:
     dead = sorted(getattr(machine, "dead_images", ()))
     if dead:
         lines.append(f"  dead images: {dead}")
-    confirmed = set(getattr(net, "confirmed", ()))
-    suspects = sorted(set(getattr(net, "suspects", ())) - confirmed)
+    confirmed = net.confirmed
+    suspects = sorted(net.suspects - confirmed)
     if suspects:
         lines.append(f"  suspected images: {suspects}")
     if confirmed:
@@ -452,15 +452,12 @@ def stall_report(machine, blocked: list) -> str:
             "  recovered images: "
             + ", ".join(f"{r} (incarnation {service.incarnations[r]})"
                         for r in sorted(service.recovered)))
-    if getattr(net, "_quarantine", None):
-        parked = {dst: len(q) for dst, q in sorted(net._quarantine.items())}
+    parked = net.quarantine_depths()
+    if parked:
         lines.append(f"  quarantined sends per suspect: {parked}")
     # Per-image pending handles: spawn replies still awaiting delivery
     # acks, and blocked event_wait calls.
-    pending_spawns: dict[int, int] = {}
-    for pend in net._tx_pending.values():
-        if pend.msg.kind == "spawn":
-            pending_spawns[pend.msg.src] = pending_spawns.get(pend.msg.src, 0) + 1
+    pending_spawns = net.pending_spawns()
     event_waits: dict[int, int] = {}
     for ev in machine._events.values():
         for rank, cond in ev._conds.items():
@@ -545,13 +542,6 @@ def count_received(machine, world_rank: int, key: Optional[tuple],
     if key is None:
         return None
     return frame_at(machine, world_rank, key).on_received(bool(tag), src)
-
-
-def count_send_failed(machine, world_rank: int, key: Optional[tuple],
-                      stamp: Optional[tuple]) -> None:
-    """Uncount a send whose delivery failed because the peer died."""
-    if key is not None and stamp is not None:
-        frame_at(machine, world_rank, key).on_send_failed(stamp)
 
 
 def count_delivery_outcome(machine, world_rank: int, key: Optional[tuple],

@@ -40,6 +40,16 @@ reliability does not move any completion time until faults actually
 strike.  Retransmits, drops and duplicates are counted in ``Stats``
 (``net.retransmits`` / ``net.drops`` / ``net.dups`` / ...) and surfaced
 in the chrome trace as instant events.
+
+One send gate, two wires
+------------------------
+:class:`Transport` owns the policy for a send whose destination is
+suspected, confirmed dead or crashed: fail fast, park in the bounded
+quarantine, or (best-effort probes) transmit anyway; it also owns the
+membership sets and the single :class:`PeerFailedError` constructor.
+:class:`Network` is the simulated wire under that gate;
+:class:`~repro.backend.transport.ProcessTransport` is the real one
+(pickle plus conduit) for the process backend.
 """
 
 from __future__ import annotations
@@ -111,8 +121,8 @@ class Message:
     """One message in flight.  ``payload`` is arbitrary Python data whose
     simulated footprint is ``size`` bytes (we model cost, not encoding).
 
-    ``seq`` is assigned by the :class:`Network` that sends the message —
-    a per-network counter, so back-to-back simulations in one process
+    ``seq`` is assigned by the :class:`Transport` that sends the message —
+    a per-transport counter, so back-to-back simulations in one process
     number (and tie-break) their messages identically."""
 
     __slots__ = ("seq", "src", "dst", "size", "payload", "kind", "on_deliver")
@@ -137,7 +147,7 @@ class Message:
 
 
 class DeliveryReceipt:
-    """Handles returned by :meth:`Network.send`.
+    """Handles returned by :meth:`Transport.send`.
 
     Attributes
     ----------
@@ -158,14 +168,228 @@ class DeliveryReceipt:
         self.delivered = Future(f"msg{message.seq}.delivered") if want_ack else None
 
 
+class Transport:
+    """The send gate both wires share: two-level membership, the
+    quarantine and the :class:`PeerFailedError` policy.
+
+    It decides what happens to a send whose destination is suspected,
+    confirmed dead or crashed; a subclass supplies only the wire:
+
+    - ``_send_now(msg, receipt, best_effort)`` puts one fresh send on the
+      wire (``net.msgs`` is already counted — once per send, even when
+      the send sat in quarantine first);
+    - ``_peer_lost(image, crashed)`` does the wire's own extra work when
+      ``image`` crashes (``crashed``) or is confirmed dead;
+    - ``_awaiting_ack()`` yields the messages still waiting for a
+      delivery ack (diagnostics).
+
+    A wire that parks its own retransmission records in the quarantine
+    (:class:`Network`) also supplies ``_resume(pend)`` and
+    ``_fail_pending(pend, what)`` for them.
+    """
+
+    def __init__(self, sim: "Substrate", params: MachineParams,
+                 stats: Optional[Stats] = None):
+        self.sim = sim
+        self.params = params
+        self.stats = stats if stats is not None else Stats()
+        #: per-transport message sequence (reproducible across back-to-back
+        #: simulations in one process)
+        self._msg_seq = itertools.count()
+        #: short human-readable records of lost transmissions (bounded;
+        #: the liveness watchdog quotes these in its diagnostic)
+        self.lost: list[str] = []
+        #: crashed images: their inbound and outbound links are down —
+        #: sends toward them fail fast with :class:`PeerFailedError`
+        self._dead: set[int] = set()
+        #: suspected-dead images (shared with the failure detector;
+        #: includes every confirmed image, so the send fast path needs
+        #: only this one membership check).  Sends to a *merely*
+        #: suspected peer park in the quarantine; sends to a confirmed
+        #: one fail fast.
+        self.suspects: set[int] = set()
+        #: confirmed-dead images per the failure detector (always a
+        #: subset of ``suspects``).  Unlike ``_dead`` — physical crash,
+        #: links down — confirmation is a detector *verdict* and can be
+        #: wrong; a delivery from a confirmed peer resurrects it.
+        self.confirmed: set[int] = set()
+        #: quarantined traffic per suspected destination: FIFO of
+        #: ``(msg, receipt, pend)`` — ``pend`` is None for a fresh send,
+        #: else a parked retransmission record of the wire — flushed in
+        #: order on unsuspect, failed with PeerFailedError on confirmation
+        self._quarantine: dict[int, list] = {}
+        #: per-destination quarantine bound; the newest send overflows
+        #: with PeerFailedError(suspected=True)
+        self.quarantine_cap = 256
+        #: liveness piggyback hook: called as ``fn(src, dst)`` whenever a
+        #: delivery from ``src`` lands at ``dst`` — any delivered traffic
+        #: doubles as a heartbeat for the failure detector
+        self.on_delivery: Optional[Callable[[int, int], None]] = None
+
+    def send(self, msg: Message, want_ack: bool = False,
+             best_effort: bool = False) -> DeliveryReceipt:
+        """Enqueue ``msg`` for transmission; returns its
+        :class:`DeliveryReceipt`.
+
+        Non-blocking: backpressure, if any, is the flow-control layer's
+        job.  ``best_effort`` marks fire-and-forget traffic (failure
+        detector heartbeats): it bypasses the quarantine, and on a
+        reliable :class:`Network` the retransmission protocol too — a
+        reliable heartbeat to a dead peer would retransmit forever.
+        """
+        msg.seq = next(self._msg_seq)
+        receipt = DeliveryReceipt(msg, want_ack)
+        self.stats.incr("net.msgs")
+        dst = msg.dst
+        if msg.src != dst and (dst in self.suspects or dst in self._dead):
+            if dst in self._dead or dst in self.confirmed:
+                # Fail fast: a typed error instead of transmitting into
+                # a downed link.
+                self._abandon(receipt, "send", dst)
+                return receipt
+            if not best_effort:
+                # Merely suspected: the verdict may be wrong (straggler,
+                # partition), so park instead of failing.
+                self._park(msg, receipt)
+                return receipt
+            # Best-effort probes transmit even toward a suspect: they are
+            # exactly what can prove the suspicion wrong.  Parking them
+            # would make a mutual suspicion (a healed partition)
+            # permanent.
+        self._send_now(msg, receipt, best_effort)
+        return receipt
+
+    def _fail(self, receipt: DeliveryReceipt, what: str, peer: int,
+              why: Optional[str] = None) -> None:
+        """Count one send abandoned because ``peer`` failed and surface
+        :class:`PeerFailedError` through its receipt (if anyone is
+        watching).  ``suspected`` is True unless ``peer`` crashed."""
+        self.stats.incr("net.peer_failed")
+        delivered = receipt.delivered
+        if delivered is not None and not delivered.done:
+            crashed = peer in self._dead
+            if why is None:
+                why = f"image {peer} is " + ("crashed" if crashed
+                                             else "confirmed dead")
+            delivered.set_exception(PeerFailedError(
+                f"{what} of {receipt.message!r} abandoned: {why}",
+                peer=peer, suspected=not crashed))
+
+    def _abandon(self, receipt: DeliveryReceipt, what: str, peer: int,
+                 why: Optional[str] = None) -> None:
+        """Fail a send that never reached the wire; its local completion
+        still resolves."""
+        self._fail(receipt, what, peer, why)
+        self.sim.call_soon(receipt.injected.set_result, None)
+
+    def _park(self, msg: Message, receipt: DeliveryReceipt,
+              pend=None) -> None:
+        queue = self._quarantine.setdefault(msg.dst, [])
+        if pend is None and len(queue) >= self.quarantine_cap:
+            # Bounded: the newest fresh send overflows with a typed
+            # failure rather than the queue growing without limit while
+            # the detector makes up its mind.  Parked retransmissions
+            # are already in flight and always fit.
+            self.stats.incr("net.quarantine_overflow")
+            self._abandon(receipt, "send", msg.dst,
+                          f"quarantine for suspected image {msg.dst} is "
+                          f"full ({self.quarantine_cap})")
+            return
+        self.stats.incr("net.quarantined")
+        queue.append((msg, receipt, pend))
+
+    # ------------------------------------------------------------------ #
+    # Two-level membership (driven by the failure detector)
+    # ------------------------------------------------------------------ #
+
+    def mark_suspect(self, image: int) -> None:
+        """Level one: the detector suspects ``image``.  New sends toward
+        it park in the quarantine; pending retransmissions park at their
+        next timer."""
+        self.suspects.add(image)
+
+    def unmark_suspect(self, image: int) -> None:
+        """The suspicion was wrong (a heartbeat or any delivery arrived):
+        lift it and flush the quarantined traffic in FIFO order."""
+        self.suspects.discard(image)
+        queue = self._quarantine.pop(image, None)
+        if not queue:
+            return
+        self.stats.incr("net.quarantine_flushed", len(queue))
+        for msg, receipt, pend in queue:
+            if pend is None:
+                self._send_now(msg, receipt, False)
+            else:
+                self._resume(pend)
+
+    def confirm_dead(self, image: int) -> None:
+        """Level two: the detector confirms ``image`` dead.  Future
+        sends fail fast and every quarantined message fails with
+        :class:`PeerFailedError` — the signal the termination layer
+        reconciles on."""
+        if image in self.confirmed:
+            return
+        self.suspects.add(image)
+        self.confirmed.add(image)
+        self._fail_quarantined(image)
+        self._peer_lost(image, crashed=False)
+
+    def mark_dead(self, image: int) -> None:
+        """Take ``image``'s links down (the network half of a fail-stop
+        crash): its own parked sends die with it, traffic quarantined
+        toward it fails, and future sends toward it fail with
+        :class:`PeerFailedError`."""
+        if image in self._dead:
+            return
+        self._dead.add(image)
+        self.stats.incr("net.images_dead")
+        for dst in list(self._quarantine):
+            kept = [e for e in self._quarantine[dst] if e[0].src != image]
+            if kept:
+                self._quarantine[dst] = kept
+            else:
+                del self._quarantine[dst]
+        self._fail_quarantined(image)
+        self._peer_lost(image, crashed=True)
+
+    def _fail_quarantined(self, image: int) -> None:
+        for msg, receipt, pend in self._quarantine.pop(image, ()):
+            if pend is None:
+                self._abandon(receipt, "quarantined send", image)
+            else:
+                self._fail_pending(pend, "quarantined retransmission")
+
+    # ------------------------------------------------------------------ #
+    # Diagnostics
+    # ------------------------------------------------------------------ #
+
+    def quarantine_depths(self) -> dict[int, int]:
+        """Parked sends per suspected destination, ``{dst: count}``."""
+        return {dst: len(q) for dst, q in sorted(self._quarantine.items())}
+
+    def pending_spawns(self) -> dict[int, int]:
+        """Spawns still awaiting their delivery ack, ``{src: count}``."""
+        counts: dict[int, int] = {}
+        for msg in self._awaiting_ack():
+            if msg.kind == "spawn":
+                counts[msg.src] = counts.get(msg.src, 0) + 1
+        return counts
+
+    def unacked(self) -> list[str]:
+        """Human-readable descriptions of sends still awaiting their
+        delivery ack."""
+        return [f"{m.kind} #{m.seq} {m.src}->{m.dst}"
+                for m in self._awaiting_ack()]
+
+
 class _PendingSend:
     """Sender-side state of one reliably-sent message."""
 
     __slots__ = ("msg", "receipt", "link", "lseq", "attempt", "acked",
-                 "timer", "scripted_drop", "rto0")
+                 "timer", "rto0")
 
     def __init__(self, msg: Message, receipt: DeliveryReceipt,
-                 link: tuple, lseq: int, scripted_drop: bool, rto0: float):
+                 link: tuple, lseq: int, rto0: float):
         self.msg = msg
         self.receipt = receipt
         self.link = link
@@ -173,7 +397,6 @@ class _PendingSend:
         self.attempt = 0          # retransmissions performed so far
         self.acked = False
         self.timer = None
-        self.scripted_drop = scripted_drop  # consume on first transmission
         self.rto0 = rto0
 
 
@@ -199,8 +422,9 @@ class _RxState:
         return False
 
 
-class Network:
-    """The interconnect: owns per-image NIC state and delivers messages.
+class Network(Transport):
+    """The simulated interconnect: owns per-image NIC state and delivers
+    messages.
 
     Parameters
     ----------
@@ -226,9 +450,7 @@ class Network:
                  tracer=None,
                  faults: Optional[FaultPlan] = None,
                  seed: Optional[int] = None):
-        self.sim = sim
-        self.params = params
-        self.stats = stats if stats is not None else Stats()
+        super().__init__(sim, params, stats)
         self.tracer = tracer
         self._nic_free_at = np.zeros(params.n_images, dtype=np.float64)
         if params.jitter > 0.0 and jitter_rng is None:
@@ -241,9 +463,6 @@ class Network:
             faults.bind(np.random.default_rng(
                 _FALLBACK_FAULT_SS.spawn(1)[0] if seed is None
                 else np.random.SeedSequence(seed)))
-        #: per-network message sequence (reproducible across back-to-back
-        #: simulations in one process)
-        self._msg_seq = itertools.count()
         # reliable-protocol state
         self._tx_next: dict[tuple, int] = {}
         self._tx_pending: dict[tuple, _PendingSend] = {}
@@ -252,39 +471,9 @@ class Network:
         #: back-to-back arrivals landing at the same instant on a link
         #: share one simulator event (see _schedule_delivery)
         self._arrivals: dict[tuple, list] = {}
-        #: short human-readable records of lost transmissions (bounded;
-        #: the liveness watchdog quotes these in its diagnostic)
-        self.lost: list[str] = []
         #: per-directed-link retransmission counts (RetryExhaustedError
         #: snapshots these; also a chaos diagnostic)
         self.link_retransmits: dict[tuple, int] = {}
-        #: confirmed-crashed images: their inbound and outbound links are
-        #: down — in-flight deliveries to/from them are discarded and
-        #: pending retransmissions fail with :class:`PeerFailedError`
-        self._dead: set[int] = set()
-        #: suspected-dead images (shared with the failure detector;
-        #: includes every confirmed image, so the send fast path needs
-        #: only this one membership check).  Sends to a *merely*
-        #: suspected peer park in the quarantine; sends to a confirmed
-        #: one fail fast.
-        self.suspects: set[int] = set()
-        #: confirmed-dead images per the failure detector (always a
-        #: subset of ``suspects``).  Unlike ``_dead`` — physical crash,
-        #: links down — confirmation is a detector *verdict* and can be
-        #: wrong; a delivery from a confirmed peer resurrects it.
-        self.confirmed: set[int] = set()
-        #: quarantined traffic per suspected destination: FIFO of
-        #: ``("send", msg, receipt, best_effort)`` fresh sends and
-        #: ``("pend", pend)`` parked retransmissions, flushed in order on
-        #: unsuspect, failed with PeerFailedError on confirmation
-        self._quarantine: dict[int, list] = {}
-        #: per-destination quarantine bound; the newest send overflows
-        #: with PeerFailedError(suspected=True)
-        self.quarantine_cap = 256
-        #: liveness piggyback hook: called as ``fn(src, dst)`` whenever a
-        #: delivery batch from ``src`` lands at ``dst`` — any delivered
-        #: traffic doubles as a heartbeat for the failure detector
-        self.on_delivery: Optional[Callable[[int, int], None]] = None
         #: crash trigger hook: called as ``fn(image)`` (via call_soon, so
         #: the triggering send completes first) when the fault plan's
         #: ``crash_after_n_sends`` threshold is reached
@@ -297,85 +486,14 @@ class Network:
         self.schedule_source = None
 
     # ------------------------------------------------------------------ #
-
-    def send(self, msg: Message, want_ack: bool = False,
-             best_effort: bool = False) -> DeliveryReceipt:
-        """Enqueue ``msg`` for injection at its source NIC.
-
-        Non-blocking: backpressure, if any, is the flow-control layer's
-        job.  Returns a :class:`DeliveryReceipt`.
-
-        ``best_effort`` bypasses the reliable protocol even when
-        ``MachineParams.reliable`` is set: no link seq, no retransmit
-        timer, no dedup state — the message is fire-and-forget (failure
-        detector heartbeats use this; a reliable heartbeat to a dead
-        peer would retransmit forever).
-        """
-        msg.seq = next(self._msg_seq)
-        receipt = DeliveryReceipt(msg, want_ack)
-
-        if msg.src != msg.dst and (msg.dst in self._dead
-                                   or msg.dst in self.suspects):
-            self.stats.incr("net.msgs")
-            if msg.dst in self._dead or msg.dst in self.confirmed:
-                # Fail fast: the destination is crashed (or the detector
-                # confirmed it dead).  The receipt surfaces a typed
-                # error instead of the protocol spinning to the retry
-                # cap against a downed link.
-                self._fail_fresh_send(msg, receipt)
-            elif best_effort:
-                # Fire-and-forget traffic (heartbeats) transmits even
-                # toward a suspect: these are exactly the probes that can
-                # prove the suspicion wrong.  Parking them would make a
-                # mutual suspicion (a healed partition) permanent — no
-                # probe could ever cross, so no side could ever unsuspect
-                # the other.
-                self._send_now(msg, receipt, best_effort)
-            else:
-                # Merely suspected: the verdict may be wrong (straggler,
-                # partition), so park instead of failing — quarantined
-                # traffic flushes on unsuspect, fails on confirmation.
-                self._park(msg, receipt, best_effort)
-            return receipt
-
-        self.stats.incr("net.msgs")
-        self._send_now(msg, receipt, best_effort)
-        return receipt
-
-    def _fail_fresh_send(self, msg: Message, receipt: DeliveryReceipt) -> None:
-        self.stats.incr("net.peer_failed")
-        if receipt.delivered is not None:
-            receipt.delivered.set_exception(PeerFailedError(
-                f"send of {msg!r} abandoned: image {msg.dst} is "
-                + ("confirmed dead" if msg.dst not in self._dead
-                   else "crashed"),
-                peer=msg.dst, suspected=msg.dst not in self._dead))
-        self.sim.call_soon(receipt.injected.set_result, None)
-
-    def _park(self, msg: Message, receipt: DeliveryReceipt,
-              best_effort: bool) -> None:
-        queue = self._quarantine.setdefault(msg.dst, [])
-        if len(queue) >= self.quarantine_cap:
-            # Bounded: the newest send overflows with a typed failure
-            # rather than the queue growing without limit while the
-            # detector makes up its mind.
-            self.stats.incr("net.quarantine_overflow")
-            self.stats.incr("net.peer_failed")
-            if receipt.delivered is not None:
-                receipt.delivered.set_exception(PeerFailedError(
-                    f"send of {msg!r} abandoned: quarantine for suspected "
-                    f"image {msg.dst} is full ({self.quarantine_cap})",
-                    peer=msg.dst, suspected=True))
-            self.sim.call_soon(receipt.injected.set_result, None)
-            return
-        self.stats.incr("net.quarantined")
-        queue.append(("send", msg, receipt, best_effort))
+    # The wire
+    # ------------------------------------------------------------------ #
 
     def _send_now(self, msg: Message, receipt: DeliveryReceipt,
                   best_effort: bool) -> None:
-        """Inject and transmit one fresh send (``net.msgs`` already
-        counted by the caller — sends count once even when they sat in
-        quarantine first)."""
+        """Inject and transmit one fresh send.  Reliability is a
+        per-message policy decided here: a reliable send gets a link seq
+        and a pending record that retransmits until acked."""
         inject_end = self._inject(msg)
 
         self.stats.incr("net.bytes", msg.size)
@@ -389,20 +507,15 @@ class Network:
             # The send that crosses the crash_after_n_sends threshold is
             # the image's last act: it completes, then the crash fires.
             self.sim.call_soon(self.on_crash, msg.src)
+        pend = None
         if self.params.reliable and not best_effort:
             link = (msg.src, msg.dst)
             lseq = self._tx_next.get(link, 0)
             self._tx_next[link] = lseq + 1
-            pend = _PendingSend(msg, receipt, link, lseq, scripted,
+            pend = _PendingSend(msg, receipt, link, lseq,
                                 self._nominal_rto(msg))
             self._tx_pending[(link, lseq)] = pend
-            self._transmit_reliable(pend, inject_end)
-        else:
-            self._transmit_unreliable(msg, receipt, inject_end, scripted)
-
-    # ------------------------------------------------------------------ #
-    # Shared wire mechanics
-    # ------------------------------------------------------------------ #
+        self._transmit(msg, receipt, pend, inject_end, scripted)
 
     def _inject(self, msg: Message) -> float:
         """Occupy the source NIC for one transmission; returns the time
@@ -454,22 +567,70 @@ class Network:
                 self._jitter_rng.uniform(-1.0, 1.0))
         return lat
 
+    def _transmit(self, msg: Message, receipt: DeliveryReceipt,
+                  pend: Optional[_PendingSend], inject_end: float,
+                  scripted: bool) -> None:
+        """Put one copy of ``msg`` on the (possibly faulty) wire.  With
+        ``pend`` (a reliable send) the copy is also covered by a
+        retransmission timer."""
+        lat = self._wire_latency(msg)
+        f = self.faults
+        extra = 0.0
+        dropped = duplicated = False
+        if f is not None and msg.src != msg.dst:
+            extra = f.extra_latency(lat)
+            if scripted or f.roll_drop(msg.src, msg.dst):
+                dropped = True
+            elif f.gray and f.link_down(msg.src, msg.dst, inject_end):
+                # Partition / flap window: the wire itself is severed.
+                # Pure in time — no rng draw, so scripting a partition
+                # never shifts the drop/duplicate decision stream.
+                self.stats.incr("net.link_down_drops")
+                dropped = True
+            else:
+                duplicated = f.roll_duplicate()
+        if dropped:
+            self._record_drop(msg, inject_end)
+        else:
+            arrive = inject_end + lat + extra
+            if self.tracer is not None:
+                args = {"bytes": msg.size}
+                if pend is not None:
+                    args["attempt"] = pend.attempt
+                self.tracer.flow(msg.kind, msg.src, inject_end, msg.dst,
+                                 arrive, args=args)
+            self._schedule_delivery(msg.src, msg.dst,
+                                    arrive + self.params.o_recv,
+                                    (msg, receipt, pend, lat))
+            if duplicated:
+                # Unreliable sends have no receiver-side suppression: the
+                # handler really runs twice (chaos mode).
+                self.stats.incr("net.dups")
+                arrive2 = arrive + f.duplicate_lag(lat)
+                self._schedule_delivery(msg.src, msg.dst,
+                                        arrive2 + self.params.o_recv,
+                                        (msg, receipt, pend, lat))
+        if pend is not None:
+            rto = pend.rto0 * (self.params.rto_backoff ** pend.attempt)
+            pend.timer = self.sim.schedule_at(inject_end + rto,
+                                              self._retransmit, pend)
+
     def _schedule_delivery(self, src: int, dst: int, t: float,
-                           fn: Callable, *args: Any) -> None:
-        """Schedule a receiver-side delivery callback at time ``t``,
-        coalescing with any delivery already due at the same instant on
-        the same directed link.  With a serial NIC and ``o_send > 0``
-        same-instant arrivals essentially never happen, but zero-overhead
+                           copy: tuple) -> None:
+        """Schedule delivery of one copy at time ``t``, coalescing with
+        any delivery already due at the same instant on the same
+        directed link.  With a serial NIC and ``o_send > 0`` same-instant
+        arrivals essentially never happen, but zero-overhead
         configurations produce long trains of them; one shared event then
         replaces N heap entries.  Batch order is scheduling order, which
         is exactly the (time, seq) order separate events would fire in."""
         key = (src, dst, t)
         batch = self._arrivals.get(key)
         if batch is not None:
-            batch.append((fn, args))
+            batch.append(copy)
             self.stats.incr("net.deliveries_coalesced")
             return
-        self._arrivals[key] = batch = [(fn, args)]
+        self._arrivals[key] = batch = [copy]
         self.sim.schedule_at(t, self._run_delivery_batch, key, batch)
 
     def _run_delivery_batch(self, key: tuple, batch: list) -> None:
@@ -480,30 +641,57 @@ class Network:
             # processes nothing.
             self.stats.incr("net.dead_link_discards", len(batch))
             if key[1] in self._dead and key[0] not in self._dead:
-                # A live sender's receipts must fail, not dangle: the
-                # unreliable path has no retransmit timer that would
-                # otherwise notice the downed link.
-                for fn, args in batch:
-                    self._fail_discarded(fn, args, key[1])
+                # A live sender's unreliable receipts must fail, not
+                # dangle: only a reliable send has a retransmit timer
+                # that reaches the same verdict on its own.
+                for msg, receipt, pend, _ in batch:
+                    if (pend is None and receipt.delivered is not None
+                            and not receipt.delivered.done):
+                        self._fail(receipt, "delivery", key[1],
+                                   f"image {key[1]} crashed with the "
+                                   "message in flight")
             return
         if self.on_delivery is not None:
             self.on_delivery(key[0], key[1])
-        for fn, args in batch:
-            fn(*args)
+        deliver = self._deliver
+        for copy in batch:
+            deliver(*copy)
 
-    def _fail_discarded(self, fn: Callable, args: tuple, peer: int) -> None:
-        """Surface PeerFailedError for one discarded delivery-batch entry
-        whose destination crashed in flight.  Reliable sends are skipped:
-        their retransmit timer reaches the same verdict on its own."""
-        if fn != self._deliver:
+    def _deliver(self, msg: Message, receipt: DeliveryReceipt,
+                 pend: Optional[_PendingSend], lat: float) -> None:
+        if pend is None:
+            if msg.on_deliver is not None:
+                msg.on_deliver(msg)
+            if receipt.delivered is not None and not receipt.delivered.done:
+                ack_delay = self.params.ack_latency_factor * lat
+                self.sim.schedule(ack_delay, self._resolve_delivered, receipt)
             return
-        receipt = args[1]
-        if receipt.delivered is not None and not receipt.delivered.done:
-            self.stats.incr("net.peer_failed")
-            receipt.delivered.set_exception(PeerFailedError(
-                f"delivery of {receipt.message!r} discarded: image "
-                f"{peer} crashed with the message in flight",
-                peer=peer, suspected=False))
+        rx = self._rx_states.get(pend.link)
+        if rx is None:
+            rx = self._rx_states[pend.link] = _RxState()
+        if rx.record(pend.lseq):
+            # Duplicate copy (injected dup or retransmission overlap):
+            # suppress the handler but re-ack, healing a lost ack.
+            self.stats.incr("net.dups_suppressed")
+        elif msg.on_deliver is not None:
+            msg.on_deliver(msg)
+        f = self.faults
+        if f is not None and msg.src != msg.dst:
+            if f.roll_ack_drop(msg.dst, msg.src):
+                self.stats.incr("net.ack_drops")
+                return
+            if f.gray and f.link_down(msg.dst, msg.src, self.sim.now):
+                # The reverse link is severed: the ack is lost on the wire.
+                self.stats.incr("net.link_down_drops")
+                self.stats.incr("net.ack_drops")
+                return
+        ack_delay = self.params.ack_latency_factor * lat
+        self.sim.schedule(ack_delay, self._on_ack, pend)
+
+    @staticmethod
+    def _resolve_delivered(receipt: DeliveryReceipt) -> None:
+        if not receipt.delivered.done:
+            receipt.delivered.set_result(None)
 
     def _record_drop(self, msg: Message, t: float) -> None:
         self.stats.incr("net.drops")
@@ -516,58 +704,7 @@ class Network:
                                 args={"dst": msg.dst, "seq": msg.seq})
 
     # ------------------------------------------------------------------ #
-    # Unreliable path (the original perfect-wire model, plus faults)
-    # ------------------------------------------------------------------ #
-
-    def _transmit_unreliable(self, msg: Message, receipt: DeliveryReceipt,
-                             inject_end: float, scripted: bool) -> None:
-        lat = self._wire_latency(msg)
-        f = self.faults
-        extra = 0.0
-        duplicated = False
-        if f is not None and msg.src != msg.dst:
-            extra = f.extra_latency(lat)
-            if scripted or f.roll_drop(msg.src, msg.dst):
-                self._record_drop(msg, inject_end)
-                return
-            if f.gray and f.link_down(msg.src, msg.dst, inject_end):
-                # Partition / flap window: the wire itself is severed.
-                # Pure in time — no rng draw, so scripting a partition
-                # never shifts the drop/duplicate decision stream.
-                self.stats.incr("net.link_down_drops")
-                self._record_drop(msg, inject_end)
-                return
-            duplicated = f.roll_duplicate()
-        arrive = inject_end + lat + extra
-        if self.tracer is not None:
-            self.tracer.flow(msg.kind, msg.src, inject_end, msg.dst,
-                             arrive, args={"bytes": msg.size})
-        self._schedule_delivery(msg.src, msg.dst, arrive + self.params.o_recv,
-                                self._deliver, msg, receipt, lat)
-        if duplicated:
-            # Without the reliable protocol there is no receiver-side
-            # suppression: the handler really runs twice (chaos mode).
-            self.stats.incr("net.dups")
-            arrive2 = arrive + f.duplicate_lag(lat)
-            self._schedule_delivery(msg.src, msg.dst,
-                                    arrive2 + self.params.o_recv,
-                                    self._deliver, msg, receipt, lat)
-
-    def _deliver(self, msg: Message, receipt: DeliveryReceipt,
-                 lat: float) -> None:
-        if msg.on_deliver is not None:
-            msg.on_deliver(msg)
-        if receipt.delivered is not None and not receipt.delivered.done:
-            ack_delay = self.params.ack_latency_factor * lat
-            self.sim.schedule(ack_delay, self._resolve_delivered, receipt)
-
-    @staticmethod
-    def _resolve_delivered(receipt: DeliveryReceipt) -> None:
-        if not receipt.delivered.done:
-            receipt.delivered.set_result(None)
-
-    # ------------------------------------------------------------------ #
-    # Reliable path
+    # Reliable-protocol records
     # ------------------------------------------------------------------ #
 
     def _nominal_rto(self, msg: Message) -> float:
@@ -578,48 +715,6 @@ class Network:
         rtt = (p.o_send + p.transfer_time(msg.size) + lat + p.o_recv
                + p.ack_latency_factor * lat)
         return p.rto_safety * rtt
-
-    def _transmit_reliable(self, pend: _PendingSend,
-                           inject_end: float) -> None:
-        msg = pend.msg
-        f = self.faults
-        lat = self._wire_latency(msg)
-        extra = 0.0
-        dropped = False
-        duplicated = False
-        if f is not None and msg.src != msg.dst:
-            extra = f.extra_latency(lat)
-            if pend.scripted_drop:
-                pend.scripted_drop = False
-                dropped = True
-            else:
-                dropped = f.roll_drop(msg.src, msg.dst)
-            if not dropped and f.gray and f.link_down(msg.src, msg.dst,
-                                                      inject_end):
-                self.stats.incr("net.link_down_drops")
-                dropped = True
-            if not dropped:
-                duplicated = f.roll_duplicate()
-        if dropped:
-            self._record_drop(msg, inject_end)
-        else:
-            arrive = inject_end + lat + extra
-            if self.tracer is not None:
-                self.tracer.flow(msg.kind, msg.src, inject_end, msg.dst,
-                                 arrive, args={"bytes": msg.size,
-                                               "attempt": pend.attempt})
-            self._schedule_delivery(msg.src, msg.dst,
-                                    arrive + self.params.o_recv,
-                                    self._deliver_reliable, pend, lat)
-            if duplicated:
-                self.stats.incr("net.dups")
-                arrive2 = arrive + f.duplicate_lag(lat)
-                self._schedule_delivery(msg.src, msg.dst,
-                                        arrive2 + self.params.o_recv,
-                                        self._deliver_reliable, pend, lat)
-        rto = pend.rto0 * (self.params.rto_backoff ** pend.attempt)
-        pend.timer = self.sim.schedule_at(inject_end + rto,
-                                          self._retransmit, pend)
 
     def _retransmit(self, pend: _PendingSend) -> None:
         if pend.acked:
@@ -633,20 +728,14 @@ class Network:
         if msg.dst in self._dead or msg.dst in self.confirmed:
             # Stop retrying into a downed link and surface a typed
             # failure instead of spinning to the cap.
-            self._fail_pending(pend, PeerFailedError(
-                f"retransmission of {msg!r} abandoned after "
-                f"{pend.attempt} attempts: image {msg.dst} is "
-                + ("confirmed dead" if msg.dst not in self._dead
-                   else "crashed"),
-                peer=msg.dst, suspected=msg.dst not in self._dead))
+            self._fail_pending(pend, "retransmission")
             return
         if msg.dst in self.suspects:
             # Merely suspected: park the pending message instead of
             # burning retries into a possibly-slow peer.  The timer is
             # not re-armed; unsuspecting re-injects, confirmation fails.
-            self.stats.incr("net.quarantined")
             pend.timer = None
-            self._quarantine.setdefault(msg.dst, []).append(("pend", pend))
+            self._park(msg, pend.receipt, pend)
             return
         pend.attempt += 1
         p = self.params
@@ -662,143 +751,21 @@ class Network:
                 link_stats=self.link_retransmits,
             )
         self.stats.incr("net.retransmits")
-        self.stats.incr(f"net.retransmits.{pend.msg.kind}")
+        self.stats.incr(f"net.retransmits.{msg.kind}")
         self.link_retransmits[pend.link] = (
             self.link_retransmits.get(pend.link, 0) + 1)
         if self.tracer is not None:
-            self.tracer.instant(pend.msg.src,
-                                f"rexmit {pend.msg.kind}", self.sim.now,
-                                args={"dst": pend.msg.dst,
+            self.tracer.instant(msg.src, f"rexmit {msg.kind}", self.sim.now,
+                                args={"dst": msg.dst,
                                       "attempt": pend.attempt})
-        inject_end = self._inject(pend.msg)
-        self._transmit_reliable(pend, inject_end)
+        self._resume(pend)
 
-    def _deliver_reliable(self, pend: _PendingSend, lat: float) -> None:
-        msg = pend.msg
-        rx = self._rx_states.get(pend.link)
-        if rx is None:
-            rx = self._rx_states[pend.link] = _RxState()
-        if rx.record(pend.lseq):
-            # Duplicate copy (injected dup or retransmission overlap):
-            # suppress the handler but re-ack, healing a lost ack.
-            self.stats.incr("net.dups_suppressed")
-        elif msg.on_deliver is not None:
-            msg.on_deliver(msg)
-        f = self.faults
-        if (f is not None and msg.src != msg.dst
-                and f.roll_ack_drop(msg.dst, msg.src)):
-            self.stats.incr("net.ack_drops")
-            return
-        if (f is not None and msg.src != msg.dst and f.gray
-                and f.link_down(msg.dst, msg.src, self.sim.now)):
-            # The reverse link is severed: the ack is lost on the wire.
-            self.stats.incr("net.link_down_drops")
-            self.stats.incr("net.ack_drops")
-            return
-        ack_delay = self.params.ack_latency_factor * lat
-        self.sim.schedule(ack_delay, self._on_ack, pend)
-
-    def _fail_pending(self, pend: _PendingSend, exc: BaseException) -> None:
-        """Abandon a reliably-sent message: pop protocol state, stop the
-        timer, and surface ``exc`` through the receipt (if anyone is
-        watching)."""
-        self._tx_pending.pop((pend.link, pend.lseq), None)
-        if pend.timer is not None:
-            self.sim.cancel(pend.timer)
-            pend.timer = None
-        self.stats.incr("net.peer_failed")
-        if (pend.receipt.delivered is not None
-                and not pend.receipt.delivered.done):
-            pend.receipt.delivered.set_exception(exc)
-
-    def mark_dead(self, image: int) -> None:
-        """Take ``image``'s links down (the network half of a fail-stop
-        crash): in-flight deliveries to/from it are discarded when they
-        surface, its outbound protocol state is dropped, and future
-        sends/retransmissions toward it fail with
-        :class:`PeerFailedError`."""
-        if image in self._dead:
-            return
-        self._dead.add(image)
-        self.stats.incr("net.images_dead")
-        # The dead image's own unacked sends die with it (cancel the
-        # timers now; delivery batches already in flight are discarded by
-        # _run_delivery_batch).  Sends *to* it are left to fail at their
-        # next retransmission timer — the moment the transport would
-        # have touched the downed link.
-        for key, pend in list(self._tx_pending.items()):
-            if pend.msg.src == image:
-                if pend.timer is not None:
-                    self.sim.cancel(pend.timer)
-                    pend.timer = None
-                del self._tx_pending[key]
-        # Quarantined traffic toward a physically-dead image can never
-        # flush; fail it now.
-        self._fail_quarantined(image, suspected=False)
-
-    # ------------------------------------------------------------------ #
-    # Two-level membership (driven by the failure detector)
-    # ------------------------------------------------------------------ #
-
-    def mark_suspect(self, image: int) -> None:
-        """Level one: the detector suspects ``image``.  New sends toward
-        it park in the quarantine; pending retransmissions park at their
-        next timer."""
-        self.suspects.add(image)
-
-    def unmark_suspect(self, image: int) -> None:
-        """The suspicion was wrong (a heartbeat or any delivery arrived):
-        lift it and flush the quarantined traffic in FIFO order."""
-        self.suspects.discard(image)
-        queue = self._quarantine.pop(image, None)
-        if not queue:
-            return
-        self.stats.incr("net.quarantine_flushed", len(queue))
-        for entry in queue:
-            if entry[0] == "send":
-                _, msg, receipt, best_effort = entry
-                self._send_now(msg, receipt, best_effort)
-            else:
-                pend = entry[1]
-                if pend.acked or pend.msg.src in self._dead:
-                    continue
-                self._transmit_reliable(pend, self._inject(pend.msg))
-
-    def confirm_dead(self, image: int) -> None:
-        """Level two: the detector confirms ``image`` dead.  Future
-        sends fail fast and every quarantined message fails with
-        :class:`PeerFailedError` — the signal the termination layer
-        reconciles on."""
-        if image in self.confirmed:
-            return
-        self.suspects.add(image)
-        self.confirmed.add(image)
-        self._fail_quarantined(image, suspected=True)
-
-    def _fail_quarantined(self, image: int, suspected: bool) -> None:
-        queue = self._quarantine.pop(image, None)
-        if not queue:
-            return
-        verdict = "confirmed dead" if suspected else "crashed"
-        for entry in queue:
-            if entry[0] == "send":
-                _, msg, receipt, _ = entry
-                self.stats.incr("net.peer_failed")
-                if receipt.delivered is not None and not receipt.delivered.done:
-                    receipt.delivered.set_exception(PeerFailedError(
-                        f"quarantined send of {msg!r} abandoned: image "
-                        f"{image} is {verdict}",
-                        peer=image, suspected=suspected))
-                self.sim.call_soon(receipt.injected.set_result, None)
-            else:
-                pend = entry[1]
-                if pend.acked:
-                    continue
-                self._fail_pending(pend, PeerFailedError(
-                    f"quarantined retransmission of {pend.msg!r} abandoned "
-                    f"after {pend.attempt} attempts: image {image} is "
-                    f"{verdict}",
-                    peer=image, suspected=suspected))
+    def _resume(self, pend: _PendingSend) -> None:
+        """Re-inject a pending message (a retransmission, or a parked one
+        flushed from the quarantine)."""
+        if not pend.acked:
+            self._transmit(pend.msg, pend.receipt, pend,
+                           self._inject(pend.msg), False)
 
     def _on_ack(self, pend: _PendingSend) -> None:
         if pend.acked:
@@ -814,15 +781,37 @@ class Network:
         if pend.receipt.delivered is not None:
             pend.receipt.delivered.set_result(None)
 
+    def _fail_pending(self, pend: _PendingSend, what: str) -> None:
+        """Abandon a reliably-sent message: pop protocol state, stop the
+        timer, and fail its receipt."""
+        if pend.acked:
+            return
+        self._tx_pending.pop((pend.link, pend.lseq), None)
+        if pend.timer is not None:
+            self.sim.cancel(pend.timer)
+            pend.timer = None
+        self._fail(pend.receipt, what, pend.msg.dst)
+
+    def _peer_lost(self, image: int, crashed: bool) -> None:
+        # A crashed image's own unacked sends die with it (cancel the
+        # timers now; delivery batches already in flight are discarded by
+        # _run_delivery_batch).  Sends *to* it are left to fail at their
+        # next retransmission timer — the moment the transport would
+        # have touched the downed link.
+        if not crashed:
+            return
+        for key, pend in list(self._tx_pending.items()):
+            if pend.msg.src == image:
+                if pend.timer is not None:
+                    self.sim.cancel(pend.timer)
+                    pend.timer = None
+                del self._tx_pending[key]
+
     # ------------------------------------------------------------------ #
+
+    def _awaiting_ack(self):
+        return (p.msg for p in self._tx_pending.values())
 
     def nic_busy_until(self, image: int) -> float:
         """When the image's NIC injection port next frees (diagnostic)."""
         return float(self._nic_free_at[image])
-
-    def unacked(self) -> list[str]:
-        """Human-readable descriptions of reliably-sent messages still
-        awaiting acknowledgment (diagnostic)."""
-        return [f"{p.msg.kind} #{p.msg.seq} {p.msg.src}->{p.msg.dst} "
-                f"(attempt {p.attempt})"
-                for p in self._tx_pending.values()]

@@ -457,7 +457,7 @@ class FailureService:
         confirm_timeout = cfg.confirm_timeout
         phi_suspect = cfg.phi_suspect
         phi = self._phi
-        faults = machine.network.faults
+        faults = machine.faults
         straggling = faults is not None and bool(faults.stragglers)
         while True:
             delay = period

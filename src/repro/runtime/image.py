@@ -194,7 +194,7 @@ class Image:
         if seconds < 0:
             raise ValueError(f"negative compute time {seconds!r}")
         self.machine.busy.add(self.rank, seconds)
-        faults = self.machine.network.faults
+        faults = self.machine.faults
         wall = seconds
         if faults is not None and faults.stragglers:
             wall = seconds * faults.service_factor(self.rank, self.now)

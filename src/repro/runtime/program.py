@@ -130,6 +130,8 @@ class Machine:
             self.network = Network(self.sim, params, stats=self.stats,
                                    jitter_rng=self.rng_pool[n_images],
                                    tracer=tracer, faults=faults, seed=seed)
+            # crash_after_n_sends triggers (fault injection is sim-only)
+            self.network.on_crash = self.kill_image
         #: schedule-exploration source (DESIGN.md §10), or None.  When
         #: installed, same-instant tie-breaks and delivery lags become
         #: explicit choice points driven by the source; with None the
@@ -180,11 +182,10 @@ class Machine:
                       else FailureConfig())
             self.failure = FailureService(self, config)
         self._failure_started = False
-        # Crash scripts: scheduled kills and send-count triggers.  Fault
-        # *menus* (crash_choice / partition_choice) resolve against the
-        # schedule source first, so crash and partition timing live in
-        # the same recorded choice sequence as message ordering.
-        self.network.on_crash = self.kill_image
+        # Crash scripts: scheduled kills.  Fault *menus* (crash_choice /
+        # partition_choice) resolve against the schedule source first, so
+        # crash and partition timing live in the same recorded choice
+        # sequence as message ordering.
         if faults is not None:
             faults.resolve_choices(self.schedule_source)
             for image, t_crash in sorted(faults.scheduled_crashes().items()):
