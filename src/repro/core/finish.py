@@ -99,10 +99,7 @@ class Epoch:
     __slots__ = ("sent", "delivered", "received", "completed")
 
     def __init__(self) -> None:
-        self.sent = 0
-        self.delivered = 0
-        self.received = 0
-        self.completed = 0
+        self.sent = self.delivered = self.received = self.completed = 0
 
     def fold_from(self, other: "Epoch") -> None:
         """Accumulate ``other`` into self and zero it (Fig. 7 lines 16-25)."""
@@ -117,9 +114,14 @@ class Epoch:
         return (self.sent == self.delivered
                 and self.completed == self.received)
 
-    def __repr__(self) -> str:
-        return (f"Epoch(sent={self.sent}, delivered={self.delivered}, "
+    def counts(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def describe(self, name: str = "Epoch") -> str:
+        return (f"{name}(sent={self.sent}, delivered={self.delivered}, "
                 f"received={self.received}, completed={self.completed})")
+
+    __repr__ = describe
 
 
 class FinishFrame:
@@ -132,7 +134,6 @@ class FinishFrame:
 
     __slots__ = ("machine", "world_rank", "team", "seq", "key", "even",
                  "odd", "present", "gen", "contributed", "cond", "rounds",
-                 "c_sent", "c_delivered", "c_received", "c_completed",
                  "sent_to", "delivered_to", "received_from",
                  "completed_from", "reconciled", "_reconcile_stamps",
                  "ledger")
@@ -156,13 +157,6 @@ class FinishFrame:
         self.cond = Condition(machine.sim, f"finish{self.key}@{world_rank}")
         #: diagnostic: allreduce waves this image participated in
         self.rounds = 0
-        # Cumulative (epoch-independent) counters, used by the baseline
-        # detectors and for diagnostics; the paper's algorithm itself only
-        # reads the epoch counters.
-        self.c_sent = 0
-        self.c_delivered = 0
-        self.c_received = 0
-        self.c_completed = 0
         #: per-destination send counts (X10-style vector detector)
         self.sent_to: dict[int, int] = {}
         # Per-peer pairing counters, consumed by reconcile_failure.
@@ -193,6 +187,15 @@ class FinishFrame:
     def in_odd(self) -> bool:
         return self.present is self.odd
 
+    # Cumulative counts for the baseline detectors and diagnostics: every
+    # counter event moves one epoch, so ``even + odd`` is the running total.
+    c_sent = property(lambda self: self.even.sent + self.odd.sent)
+    c_delivered = property(
+        lambda self: self.even.delivered + self.odd.delivered)
+    c_received = property(lambda self: self.even.received + self.odd.received)
+    c_completed = property(
+        lambda self: self.even.completed + self.odd.completed)
+
     def _epoch_for(self, tag_odd: bool, gen: int) -> Epoch:
         """The epoch a follow-up count (delivered/completed) belongs to:
         odd only while the fold generation its message was stamped in is
@@ -214,6 +217,19 @@ class FinishFrame:
         self.gen += 1
         self.contributed = False
         self.cond.wake()
+
+    def contribute(self) -> int:
+        """Join a wave (Fig. 7 lines 6-8): enter the odd epoch, mark the
+        even counters read, and return this image's term of the
+        consistent-cut sum."""
+        self.advance_to_odd()
+        self.contributed = True
+        return self.even.sent - self.even.completed
+
+    def close_wave(self) -> None:
+        """Leave a wave (Fig. 7 line 10): count it and fold odd into even."""
+        self.rounds += 1
+        self.fold_to_even()
 
     # -- counter events ---------------------------------------------------- #
 
@@ -250,7 +266,6 @@ class FinishFrame:
             tag_odd = self.contributed
         epoch = self.odd if tag_odd else self.even
         epoch.sent += 1
-        self.c_sent += 1
         if dst is not None:
             self.sent_to[dst] = self.sent_to.get(dst, 0) + 1
         self.cond.wake()
@@ -261,7 +276,6 @@ class FinishFrame:
         if dst is not None and dst in self.reconciled:
             return  # the pair was already subtracted wholesale
         self._epoch_for(tag_odd, gen).delivered += 1
-        self.c_delivered += 1
         if dst is not None:
             self.delivered_to[dst] = self.delivered_to.get(dst, 0) + 1
         self.cond.wake()
@@ -272,7 +286,6 @@ class FinishFrame:
         dead receiver's counters."""
         tag_odd, gen, dst = stamp
         self._epoch_for(tag_odd, gen).sent -= 1
-        self.c_sent -= 1
         if dst is not None and dst in self.sent_to:
             self.sent_to[dst] -= 1
         self.machine.stats.incr("finish.sends_failed")
@@ -289,7 +302,6 @@ class FinishFrame:
             self.odd.received += 1
         else:
             self.even.received += 1
-        self.c_received += 1
         if src is not None:
             self.received_from[src] = self.received_from.get(src, 0) + 1
         self.cond.wake()
@@ -300,12 +312,20 @@ class FinishFrame:
         if src is not None and src in self.reconciled:
             return
         self._epoch_for(tag_odd, gen).completed += 1
-        self.c_completed += 1
         if src is not None:
             self.completed_from[src] = self.completed_from.get(src, 0) + 1
         self.cond.wake()
 
     # -- failure reconciliation ----------------------------------------- #
+
+    def _shift_even(self, d: int, r: int, c: int) -> None:
+        """Add a reconciliation stamp (``d`` delivered sends, ``r``
+        receipts, ``c`` completions) to the even epoch."""
+        even = self.even
+        even.sent += d
+        even.delivered += d
+        even.received += r
+        even.completed += c
 
     def reconcile_failure(self, dead: int) -> list[tuple]:
         """Remove every count paired with ``dead`` (see module docstring)
@@ -320,14 +340,7 @@ class FinishFrame:
         d = self.delivered_to.pop(dead, 0)
         r = self.received_from.pop(dead, 0)
         c = self.completed_from.pop(dead, 0)
-        self.even.sent -= d
-        self.even.delivered -= d
-        self.even.received -= r
-        self.even.completed -= c
-        self.c_sent -= d
-        self.c_delivered -= d
-        self.c_received -= r
-        self.c_completed -= c
+        self._shift_even(-d, -r, -c)
         lost = [e for e in self.ledger if e[1] == dead]
         if lost:
             self.ledger = [e for e in self.ledger if e[1] != dead]
@@ -358,14 +371,7 @@ class FinishFrame:
             self.received_from[peer] = self.received_from.get(peer, 0) + r
         if c:
             self.completed_from[peer] = self.completed_from.get(peer, 0) + c
-        self.even.sent += d
-        self.even.delivered += d
-        self.even.received += r
-        self.even.completed += c
-        self.c_sent += d
-        self.c_delivered += d
-        self.c_received += r
-        self.c_completed += c
+        self._shift_even(d, r, c)
         if lost:
             # The popped spawn-ledger entries go back on the books: the
             # peer is alive, so they were delivered (or quarantined and
@@ -377,22 +383,14 @@ class FinishFrame:
     def snapshot(self) -> dict:
         """Counter snapshot for liveness diagnostics (see
         :func:`stall_report`)."""
+        even, odd = self.even.counts(), self.odd.counts()
         return {
             "image": self.world_rank,
             "key": self.key,
             "phase": "odd" if self.in_odd else "even",
-            "even": {"sent": self.even.sent,
-                     "delivered": self.even.delivered,
-                     "received": self.even.received,
-                     "completed": self.even.completed},
-            "odd": {"sent": self.odd.sent,
-                    "delivered": self.odd.delivered,
-                    "received": self.odd.received,
-                    "completed": self.odd.completed},
-            "cumulative": {"sent": self.c_sent,
-                           "delivered": self.c_delivered,
-                           "received": self.c_received,
-                           "completed": self.c_completed},
+            "even": even,
+            "odd": odd,
+            "cumulative": {name: n + odd[name] for name, n in even.items()},
             "rounds": self.rounds,
             "waiters": self.cond.waiting,
             "reconciled": sorted(self.reconciled),
@@ -408,11 +406,6 @@ class FinishFrame:
 # --------------------------------------------------------------------- #
 # Liveness diagnostics
 # --------------------------------------------------------------------- #
-
-def _fmt_epoch(name: str, e: Epoch) -> str:
-    return (f"{name}(sent={e.sent}, delivered={e.delivered}, "
-            f"received={e.received}, completed={e.completed})")
-
 
 def stall_report(machine, blocked: list) -> str:
     """The liveness watchdog's diagnostic: which images stalled, and the
@@ -478,7 +471,7 @@ def stall_report(machine, blocked: list) -> str:
             continue
         lines.append(
             f"  image {rank} finish{key}: phase={'odd' if frame.in_odd else 'even'} "
-            f"{_fmt_epoch('even', frame.even)} {_fmt_epoch('odd', frame.odd)} "
+            f"{frame.even.describe('even')} {frame.odd.describe('odd')} "
             f"rounds={frame.rounds} waiters={frame.cond.waiting}"
         )
     stalled_colls = [
@@ -607,10 +600,11 @@ def finish_end(ctx, detector: str = "epoch") -> Generator[Any, Any, int]:
     and block until it succeeds.  Returns the number of allreduce waves
     used (the Fig. 18 metric).
 
-    ``detector`` selects the algorithm: ``"epoch"`` (the paper's,
-    default), ``"wave_unbounded"`` (no line-4 wait — the Fig. 18
-    baseline), ``"four_counter"`` (Mattern/AM++), or ``"barrier"``
-    (the *incorrect* naive scheme of Fig. 5, kept for demonstration).
+    ``detector`` names an algorithm in the
+    :mod:`repro.core.termination` registry; the default ``"epoch"`` is
+    the paper's.  With a failure service attached, ``"epoch"`` runs its
+    fault-tolerant form ``"ft_epoch"``, and any other detector raises
+    :class:`FinishUsageError` rather than wait on a dead image.
     """
     from repro.core import termination
 
@@ -618,9 +612,16 @@ def finish_end(ctx, detector: str = "epoch") -> Generator[Any, Any, int]:
     if not state.finish_stack:
         raise FinishUsageError(f"image {ctx.rank}: end finish without finish")
     frame = state.finish_stack[-1]
+    algorithm = termination.get_detector(detector)
+    if ctx.machine.failure is not None:
+        # The other detectors would wait forever on a crashed member.
+        if detector not in ("epoch", "ft_epoch"):
+            raise FinishUsageError(
+                f"termination detector {detector!r} is not fault-tolerant; "
+                "with failure detection on use 'epoch' or 'ft_epoch'")
+        algorithm = termination.ft_epoch_detector
     if ctx.machine.racecheck is not None:
         ctx.machine.racecheck.finish_enter(ctx.activation, frame.key)
-    algorithm = termination.get_detector(detector)
     rounds = yield from algorithm(ctx, frame)
     state.finish_stack.pop()
     if ctx.machine.racecheck is not None:

@@ -1,18 +1,15 @@
 """Distributed termination detection algorithms.
 
-The paper's contribution (:mod:`repro.core.termination.epoch`) plus the
-baselines it is compared against:
+The paper's contribution plus the baselines it is compared against:
 
+- :mod:`repro.core.termination.epoch` — the Fig. 7 allreduce wave loop
+  behind ``epoch`` (the paper's) and its Fig. 18 baselines
+  ``wave_drain`` and ``wave_unbounded``, which keep less of the line-4
+  wait precondition;
 - :mod:`repro.core.termination.ft_epoch` — the fault-tolerant variant
   of the paper's detector (DESIGN §11): coordinator rounds over the
-  alive membership instead of a team allreduce; ``epoch`` delegates to
-  it automatically when a failure detector is attached;
-- :mod:`repro.core.termination.wave_unbounded` — the same allreduce-wave
-  scheme but *without* the Fig. 7 line-4 wait precondition; the Fig. 18
-  baseline that needs roughly twice the reduction rounds;
-- :mod:`repro.core.termination.wave_drain` — the intermediate variant
-  keeping only the received==completed half of the precondition (any
-  poll-loop drains its inbox); brackets the paper's baseline from below;
+  alive membership instead of a team allreduce; ``finish_end`` runs it
+  for ``epoch`` when a failure detector is attached;
 - :mod:`repro.core.termination.four_counter` — Mattern's four-counter
   algorithm as used by AM++ (§V): double-counts sends/receives, always
   paying one extra global reduction;
@@ -27,10 +24,10 @@ Each detector is a generator ``detector(ctx, frame) -> rounds`` run by
 every team member inside :func:`repro.core.finish.finish_end`.
 """
 
-from repro.core.termination.epoch import epoch_detector
+from repro.core.termination.epoch import (epoch_detector,
+                                          wave_drain_detector,
+                                          wave_unbounded_detector)
 from repro.core.termination.ft_epoch import ft_epoch_detector
-from repro.core.termination.wave_unbounded import wave_unbounded_detector
-from repro.core.termination.wave_drain import wave_drain_detector
 from repro.core.termination.four_counter import four_counter_detector
 from repro.core.termination.vector_count import vector_count_detector
 from repro.core.termination.barrier_naive import barrier_naive_detector

@@ -23,7 +23,6 @@ from repro.core.finish import FinishFrame
 def four_counter_detector(ctx, frame: FinishFrame
                           ) -> Generator[Any, Any, int]:
     """Double-reduction termination detection; returns reduction waves."""
-    rounds = 0
     prev: tuple[int, int] | None = None
     while True:
         yield from frame.cond.wait_until(
@@ -35,9 +34,8 @@ def four_counter_detector(ctx, frame: FinishFrame
             op=lambda a, b: (a[0] + b[0], a[1] + b[1]),
             team=frame.team, _stat="finish.allreduce_four_counter",
         )
-        rounds += 1
         frame.rounds += 1
         sent, received = totals
         if prev == (sent, received) and sent == received:
-            return rounds
+            return frame.rounds
         prev = (sent, received)

@@ -226,7 +226,6 @@ def ft_epoch_detector(ctx, frame: FinishFrame) -> Generator[Any, Any, int]:
     from repro.runtime.failure import build_failure_error
 
     key = frame.key
-    rounds = 0
     r = 0
     if service.recover:
         # Recovery mode: a confirmed death reconciles the counters
@@ -249,11 +248,8 @@ def ft_epoch_detector(ctx, frame: FinishFrame) -> Generator[Any, Any, int]:
         verdict = machine.scratch.get(_verdict_slot(key, r))
         if verdict is None:
             # Start (or restart) round r against the current membership.
-            if not frame.in_odd:
-                frame.advance_to_odd()
             gen0 = service.gen
-            outstanding = frame.even.sent - frame.even.completed
-            frame.contributed = True
+            outstanding = frame.contribute()
             wave_start = machine.sim.now
             # Contribute the local count at this image's own report-tree
             # node; the aggregate climbs to the coordinator from there.
@@ -270,10 +266,8 @@ def ft_epoch_detector(ctx, frame: FinishFrame) -> Generator[Any, Any, int]:
                                     machine.sim.now - wave_start,
                                     args={"outstanding": outstanding,
                                           "total": verdict, "round": r})
-        rounds += 1
-        frame.rounds += 1
-        frame.fold_to_even()
+        frame.close_wave()
         if verdict == 0:
-            return rounds
+            return frame.rounds
         r += 1
         machine.stats.incr("finish.extra_waves")

@@ -3,7 +3,12 @@ barrier failure and the Theorem 1 bound."""
 
 import pytest
 
+from repro import FaultPlan, run_spmd
+from repro.apps.uts import TreeParams, UTSConfig, run_uts
+from repro.core.finish import FinishUsageError
 from repro.core.termination import get_detector
+from repro.runtime.failure import FailureConfig
+from repro.sim.tasks import TaskFailed
 
 
 def test_detector_registry():
@@ -176,3 +181,49 @@ class TestTheorem1:
         _m, results = spmd(_chain_kernel("epoch", chain_len=5), n=4,
                            params=params)
         assert all(r >= 1 for r in results)
+
+
+#: (finish_rounds, sim_time) per detector for one fixed UTS run; every
+#: detector counts the same 4845-node tree.  Pinned exactly: a refactor
+#: of the detectors must not move a single wave or simulated picosecond.
+GOLDEN_UTS = {
+    "epoch": (10, 0.0013204304000000123),
+    "wave_drain": (16, 0.0013258088000000137),
+    "wave_unbounded": (97, 0.0013316648000000115),
+    "four_counter": (6, 0.0013319504000000094),
+    "vector_count": (14, 0.001324516800000013),
+}
+
+
+@pytest.mark.parametrize("detector", sorted(GOLDEN_UTS))
+def test_detector_golden_uts(detector):
+    r = run_uts(8, UTSConfig(tree=TreeParams(b0=4, max_depth=6, seed=19),
+                             detector=detector), seed=1)
+    assert (r.total_nodes, r.finish_rounds, r.sim_time) == (
+        4845, *GOLDEN_UTS[detector])
+
+
+@pytest.mark.parametrize("detector", ["wave_drain", "wave_unbounded",
+                                      "four_counter", "vector_count",
+                                      "barrier"])
+def test_non_fault_tolerant_detector_refused_under_failure_detection(
+        detector):
+    """Only epoch/ft_epoch survive a crash; the others would wait on the
+    dead image forever (or, for barrier, return unsoundly), so finish
+    refuses them with a typed error instead."""
+
+    def work(img):
+        yield from img.compute(1e-3)
+
+    def kernel(img):
+        yield from img.finish_begin()
+        if img.rank == 0:
+            yield from img.spawn(work, 2)
+        yield from img.finish_end(detector=detector)
+
+    with pytest.raises(TaskFailed) as info:
+        run_spmd(kernel, n_images=4, faults=FaultPlan().crash_at(2, 1e-4),
+                 failure_detection=FailureConfig(), max_events=20_000)
+    cause = info.value.__cause__
+    assert isinstance(cause, FinishUsageError), cause
+    assert repr(detector) in str(cause)
