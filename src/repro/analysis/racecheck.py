@@ -105,21 +105,37 @@ class OpClock:
     Consecutive implicit copies with the same class set and no
     intervening clock activity share one OpClock (see
     :meth:`RaceDetector.copy_begin`), so the two tick dicts are cached —
-    they are identical for every member of the batch."""
+    they are identical for every member of the batch.
 
-    __slots__ = ("oid", "base", "kind", "_vcl", "_vcg")
+    ``base`` is the initiating activation's clock snapshot at
+    ``version`` joined with ``beyond`` (the entries it does not hold:
+    issued global ticks, a predicate event's clock), which lets
+    :meth:`RaceDetector.record_access` compare two clocks of one
+    activation by their few ``beyond`` entries."""
 
-    def __init__(self, oid: int, base: dict, kind: str):
+    __slots__ = ("oid", "base", "kind", "version", "beyond", "_vcl", "_vcg")
+
+    def __init__(self, oid: int, base: dict, kind: str, version: int,
+                 beyond: dict):
         self.oid = oid
         self.base = base
         self.kind = kind
+        self.version = version
+        self.beyond = beyond
         self._vcl = None
         self._vcg = None
 
     def join_base(self, vc: dict) -> None:
         vc_join(self.base, vc)
+        vc_join(self.beyond, vc)
         self._vcl = None
         self._vcg = None
+
+    def delta(self, tick: int) -> dict:
+        """The entries of the tick-``tick`` clock beyond the snapshot."""
+        d = dict(self.beyond)
+        d[self.oid] = tick
+        return d
 
     def vc_local(self) -> dict:
         """Labels the op's local-data effects (cofence's guarantee)."""
@@ -162,7 +178,11 @@ class ThreadClock:
 
     def release(self) -> dict:
         """Snapshot the clock for publication, then advance my own
-        component so later accesses are not covered by the snapshot."""
+        component so later accesses are not covered by the snapshot.
+
+        Every change to ``vc`` bumps ``mut`` before any snapshot sees
+        it, so the snapshot taken at ``mut == v`` is contained in every
+        later one: ``mut`` versions the clock."""
         self.mut += 1
         if self.issued:
             # entries the clock already dominates are pure redundancy in
@@ -198,6 +218,11 @@ class AccessSite:
     #: strong reference pinning a local numpy buffer so its address range
     #: cannot be recycled while the record lives
     pin: Any = field(default=None, repr=False)
+    #: ``vc`` is the clock of activation ``tid`` at ``version`` joined
+    #: with ``delta`` (see :meth:`RaceDetector.record_access`)
+    tid: int = field(default=0, repr=False)
+    version: int = field(default=0, repr=False)
+    delta: dict = field(default_factory=dict, repr=False)
 
     def describe(self) -> str:
         rw = "write" if self.write else "read"
@@ -298,15 +323,30 @@ class RaceDetector:
         return f"local buffers@img{key[1]}"
 
     def record_access(self, target: Any, rank: int, write: bool, vc: dict,
-                      op: str, thread: ThreadClock) -> None:
+                      op: str, thread: ThreadClock, version: int,
+                      delta: dict) -> None:
+        """Record an access whose clock ``vc`` is ``thread``'s clock at
+        ``version`` joined with ``delta``.
+
+        An earlier site of the same activation at an earlier version
+        holds a snapshot that ``vc`` contains, so only its ``delta``
+        needs comparing — exact, and a few entries instead of the whole
+        clock (clocks grow with every synchronized operation)."""
         key, lo, hi, pin = self._location(target, rank)
+        tid = thread.tid
         site = AccessSite(op=op, write=write, thread=thread.name, lo=lo,
-                          hi=hi, time=self.machine.sim.now, vc=vc, pin=pin)
+                          hi=hi, time=self.machine.sim.now, vc=vc, pin=pin,
+                          tid=tid, version=version, delta=delta)
         self.machine.stats.incr("race.accesses")
         records = self._shadow.setdefault(key, [])
         keep = []
         for old in records:
-            ordered = old.vc is vc or vc_leq(old.vc, vc)
+            if old.vc is vc:
+                ordered = True
+            elif old.tid == tid and old.version <= version:
+                ordered = vc_leq(old.delta, vc)
+            else:
+                ordered = vc_leq(old.vc, vc)
             overlaps = old.hi > lo and hi > old.lo
             if overlaps and (old.write or write) and not ordered:
                 self._report(key, old, site)
@@ -326,7 +366,7 @@ class RaceDetector:
         th.mut += 1
         self.record_access(
             target, rank, write, dict(th.vc),
-            op or ("local.write" if write else "local.read"), th)
+            op or ("local.write" if write else "local.read"), th, th.mut, {})
 
     def _report(self, key: tuple, old: AccessSite, new: AccessSite) -> None:
         sig = (key, old.op, old.thread, new.op, new.thread)
@@ -355,7 +395,8 @@ class RaceDetector:
         th = self.thread(activation)
         base = th.release()
         vc_join(base, th.issued)
-        return OpClock(next(self._components), base, kind), th
+        return OpClock(next(self._components), base, kind, th.mut,
+                       dict(th.issued)), th
 
     def copy_begin(self, ctx, op, implicit: bool,
                    predicated: bool = False) -> OpClock:
@@ -415,17 +456,20 @@ class RaceDetector:
         # untouched and both effects are remote.
         src_vc = vcg if path == "fwd" else vcl
         dest_vc = vcg if path in ("put", "fwd") else vcl
-        self._record_endpoint(src, th, f"copy.{path}.src", False, src_vc)
-        self._record_endpoint(dest, th, f"copy.{path}.dest", True, dest_vc)
+        self._record_endpoint(src, th, f"copy.{path}.src", False, rcop,
+                              src_vc)
+        self._record_endpoint(dest, th, f"copy.{path}.dest", True, rcop,
+                              dest_vc)
         if src_ev is not None:
             self.event_release(src_ev, src_vc)
         if dest_ev is not None:
             self.event_release(dest_ev, dest_vc)
 
     def _record_endpoint(self, loc, th: ThreadClock, op: str, write: bool,
-                         vc: dict) -> None:
+                         rcop: OpClock, vc: dict) -> None:
         target = loc.ref if loc.ref is not None else loc.buffer
-        self.record_access(target, loc.rank, write, vc, op, th)
+        self.record_access(target, loc.rank, write, vc, op, th,
+                           rcop.version, rcop.delta(vc[rcop.oid]))
 
     def spawn_begin(self, ctx, op, implicit: bool) -> OpClock:
         rcop, th = self._op_begin(ctx.activation, "spawn")
@@ -479,7 +523,8 @@ class RaceDetector:
             if may_pass(classes, down_allowed):
                 keep.append((classes, rcop))
             else:
-                th.join(rcop.vc_local())
+                # my own op: its base snapshot is already in my clock
+                th.join(rcop.delta(1))
         th.fence_ops = keep
         self.fences.append((th.name, downward, upward, self.machine.sim.now))
 

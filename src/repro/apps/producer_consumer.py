@@ -96,6 +96,12 @@ def pc_kernel(img, config: PCConfig) -> Generator[Any, Any, float]:
     return img.now
 
 
+def pc_setup(machine) -> None:
+    """Allocate what :func:`pc_kernel` uses (the ``setup`` of run_spmd)."""
+    machine.coarray("pc_inbuf", shape=COPY_BYTES, dtype=np.uint8)
+    machine.make_event(name="pc_ev")
+
+
 def run_producer_consumer(n_images: int, config: Optional[PCConfig] = None,
                           params=None, seed: int = 0,
                           faults=None, racecheck: bool = False) -> PCResult:
@@ -103,13 +109,8 @@ def run_producer_consumer(n_images: int, config: Optional[PCConfig] = None,
     from repro.runtime.program import run_spmd
 
     config = config if config is not None else PCConfig()
-
-    def setup(machine):
-        machine.coarray("pc_inbuf", shape=COPY_BYTES, dtype=np.uint8)
-        machine.make_event(name="pc_ev")
-
     machine, results = run_spmd(pc_kernel, n_images, params=params,
-                                seed=seed, args=(config,), setup=setup,
+                                seed=seed, args=(config,), setup=pc_setup,
                                 faults=faults, racecheck=racecheck)
     return PCResult(
         sim_time=max(results),

@@ -40,6 +40,13 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
+def check_radix(radix: int) -> None:
+    """Reject a tree radix below 1 at a collective's entry, on every
+    member (a degenerate tree would hang the members below the root)."""
+    if radix < 1:
+        raise ValueError(f"collective tree radix must be >= 1, got {radix}")
+
+
 def op_function(op: Any) -> Callable[[Any, Any], Any]:
     """Resolve an operator name (or pass a callable through)."""
     if callable(op):
@@ -72,9 +79,9 @@ class _CollState:
         self.is_reduce_only = False
 
 
-def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_UP, _make_up_handler(machine))
-    machine.am.ensure_registered(_DOWN, _make_down_handler(machine))
+def register_handlers(machine) -> None:
+    machine.am.register(_UP, _make_up_handler(machine))
+    machine.am.register(_DOWN, _make_down_handler(machine))
 
 
 def _make_up_handler(machine):
@@ -88,18 +95,17 @@ def _make_up_handler(machine):
 def _make_down_handler(machine):
     def handle_down(ctx, team_id: int, seq: int, root: int, radix: int):
         team = machine.team_by_id(team_id)
-        my_tr = team.rank_of(ctx.image)
         state = machine.coll_state(ctx.image, team_id, seq, _CollState)
-        _send_down(machine, team, my_tr, seq, root, radix, ctx.payload)
+        _send_down(machine, team, ctx.image, seq, root, radix, ctx.payload)
         state.down.set_result(ctx.payload)
     return handle_down
 
 
-def _send_down(machine, team: Team, my_tr: int, seq: int, root: int,
+def _send_down(machine, team: Team, world_rank: int, seq: int, root: int,
                radix: int, value: Any) -> None:
-    for child_tr in team.tree_children(my_tr, root, radix):
+    for child in team.tree_links(world_rank, root, radix)[1]:
         machine.am.request_nb(
-            team.world_rank(my_tr), team.world_rank(child_tr), _DOWN,
+            world_rank, child, _DOWN,
             args=(team.id, seq, root, radix),
             payload=value, payload_size=sizeof(value),
             category=AMCategory.LONG, kind="coll.down",
@@ -111,23 +117,21 @@ def _try_combine(machine, world_rank: int, team_id: int, seq: int,
     if not state.have_own or state.sent_up:
         return
     team = machine.team_by_id(team_id)
-    my_tr = team.rank_of(world_rank)
-    children = team.tree_children(my_tr, root, radix)
+    parent, children = team.tree_links(world_rank, root, radix)
     if len(state.child_values) < len(children):
         return
     state.sent_up = True
     combined = state.value
     for v in state.child_values:
         combined = state.op(combined, v)
-    parent_tr = team.tree_parent(my_tr, root, radix)
-    if parent_tr is None:
+    if parent is None:
         # I am the root: begin the downward phase (or finish, for reduce).
         if not state.is_reduce_only:
-            _send_down(machine, team, my_tr, seq, root, radix, combined)
+            _send_down(machine, team, world_rank, seq, root, radix, combined)
         state.down.set_result(combined)
     else:
         machine.am.request_nb(
-            world_rank, team.world_rank(parent_tr), _UP,
+            world_rank, parent, _UP,
             args=(team_id, seq, root, radix),
             payload=combined, payload_size=sizeof(combined),
             category=AMCategory.LONG, kind="coll.up",
@@ -152,7 +156,7 @@ def allreduce(ctx, value: Any, op: Any = "sum",
     """
     team = team if team is not None else ctx.team_world
     machine = ctx.machine
-    _ensure_handlers(machine)
+    check_radix(radix)
     if ctx.rank not in team:
         raise ValueError(f"image {ctx.rank} is not in team {team.id}")
     machine.stats.incr(_stat)
@@ -192,13 +196,12 @@ def broadcast(ctx, value: Any, root: int = 0,
     """Blocking broadcast of the root's ``value`` to every member."""
     team = team if team is not None else ctx.team_world
     machine = ctx.machine
-    _ensure_handlers(machine)
+    check_radix(radix)
     machine.stats.incr("coll.broadcast")
     seq = machine.next_coll_seq(ctx.rank, team.id)
     state = machine.coll_state(ctx.rank, team.id, seq, _CollState)
-    my_tr = team.rank_of(ctx.rank)
-    if my_tr == root:
-        _send_down(machine, team, my_tr, seq, root, radix, value)
+    if team.rank_of(ctx.rank) == root:
+        _send_down(machine, team, ctx.rank, seq, root, radix, value)
         state.down.set_result(value)
     result = yield state.down
     machine.drop_coll_state(ctx.rank, team.id, seq)

@@ -62,14 +62,14 @@ class _RingState:
         self.cond = Condition(sim, "ring")
 
 
-def _ensure_handlers(machine) -> None:
+def register_handlers(machine) -> None:
     def handle_ring(ctx, team_id, seq, step, chunk_idx):
         state = machine.coll_state(ctx.image, team_id, seq, _make_state(machine))
         state.chunks[(step, chunk_idx)] = ctx.payload
         state.cond.wake()
 
-    machine.am.ensure_registered(_RING, handle_ring)
-    machine.am.ensure_registered(_PIPE, handle_ring)  # same buffering
+    machine.am.register(_RING, handle_ring)
+    machine.am.register(_PIPE, handle_ring)  # same buffering
 
 
 def _make_state(machine):
@@ -97,7 +97,6 @@ def ring_allreduce(ctx, array: np.ndarray, op: Any = "sum",
     (also returned)."""
     team = team if team is not None else ctx.team_world
     machine = ctx.machine
-    _ensure_handlers(machine)
     machine.stats.incr("algcoll.ring_allreduce")
     fn = array_op_function(op)
     array = np.asarray(array)
@@ -156,7 +155,6 @@ def pipelined_broadcast(ctx, array: np.ndarray, root: int = 0,
     pieces; the root's content ends up in every member's ``array``."""
     team = team if team is not None else ctx.team_world
     machine = ctx.machine
-    _ensure_handlers(machine)
     machine.stats.incr("algcoll.pipelined_broadcast")
     array = np.asarray(array)
     if array.ndim != 1:

@@ -92,11 +92,10 @@ def _check_finish_team(ctx, team: Team, implicit: bool) -> Optional[tuple]:
     return frame.key
 
 
-def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_BCAST, _make_bcast_handler(machine))
-    machine.am.ensure_registered(_REDUCE_UP, _make_reduce_up_handler(machine))
-    machine.am.ensure_registered(_SUBTREE_DONE,
-                                 _make_subtree_done_handler(machine))
+def register_handlers(machine) -> None:
+    machine.am.register(_BCAST, _make_bcast_handler(machine))
+    machine.am.register(_REDUCE_UP, _make_reduce_up_handler(machine))
+    machine.am.register(_SUBTREE_DONE, _make_subtree_done_handler(machine))
 
 
 # --------------------------------------------------------------------- #
@@ -110,8 +109,8 @@ def broadcast_async(ctx, buf: np.ndarray, root: int = 0,
     """Asynchronously broadcast the root's ``buf`` contents into every
     member's ``buf``.  Returns immediately with the handle."""
     machine = ctx.machine
-    _ensure_handlers(machine)
     team = team if team is not None else ctx.team_world
+    sync.check_radix(radix)
     implicit = src_event is None and local_event is None
     key = _check_finish_team(ctx, team, implicit)
     machine.stats.incr("acoll.broadcast")
@@ -129,15 +128,15 @@ def broadcast_async(ctx, buf: np.ndarray, root: int = 0,
     if my_tr == root:
         data = np.copy(buf)
         state.down_payload = data
-        _bcast_forward(machine, team, my_tr, seq, root, radix, state, data,
-                       cause=ctx.activation.cause)
+        _bcast_forward(machine, team, ctx.rank, seq, root, radix, state,
+                       data, cause=ctx.activation.cause)
         # Root's local-data point: all injections to children done (the
         # source buffer has been fully read by the NIC).
         _resolve_local_data(machine, ctx.rank, state)
     else:
         state.have_own = True  # marks local participation
         if state.arrived:
-            _bcast_apply(machine, team, my_tr, seq, root, radix, state,
+            _bcast_apply(machine, team, ctx.rank, seq, root, radix, state,
                          cause=ctx.activation.cause)
 
     if implicit:
@@ -195,12 +194,10 @@ def _maybe_local_op(machine, world_rank: int, state: _AState) -> None:
         machine.post_event(state.local_event, from_rank=world_rank)
 
 
-def _bcast_forward(machine, team: Team, my_tr: int, seq: int, root: int,
+def _bcast_forward(machine, team: Team, src_w: int, seq: int, root: int,
                    radix: int, state: _AState, data: np.ndarray,
                    cause=None) -> None:
-    for child_tr in team.tree_children(my_tr, root, radix):
-        dst = team.world_rank(child_tr)
-        src_w = team.world_rank(my_tr)
+    for dst in team.tree_links(src_w, root, radix)[1]:
         stamp = fin.count_send(machine, src_w, state.key, dst=dst,
                                cause=cause)
         receipt = machine.am.request_nb(
@@ -230,34 +227,32 @@ def _make_bcast_handler(machine):
         state.arrived = True
         state.arrived_payload = ctx.payload
         team = machine.team_by_id(team_id)
-        my_tr = team.rank_of(ctx.image)
         if state.have_own:
-            _bcast_apply(machine, team, my_tr, seq, root, radix, state,
+            _bcast_apply(machine, team, ctx.image, seq, root, radix, state,
                          cause=recv_stamp)
         else:
             # Data arrived before the local call: forward immediately so
             # the tree keeps moving; apply to the buffer at the call.
-            _bcast_forward_only(machine, team, my_tr, seq, root, radix,
+            _bcast_forward_only(machine, team, ctx.image, seq, root, radix,
                                 state, cause=recv_stamp)
         fin.count_completed(machine, ctx.image, key, recv_stamp)
     return handle_bcast
 
 
-def _bcast_forward_only(machine, team, my_tr, seq, root, radix,
+def _bcast_forward_only(machine, team, w, seq, root, radix,
                         state: _AState, cause=None) -> None:
     if state.forwarded_down:
         return
     state.forwarded_down = True
-    _bcast_forward(machine, team, my_tr, seq, root, radix, state,
+    _bcast_forward(machine, team, w, seq, root, radix, state,
                    state.arrived_payload, cause=cause)
 
 
-def _bcast_apply(machine, team, my_tr, seq, root, radix,
+def _bcast_apply(machine, team, w, seq, root, radix,
                  state: _AState, cause=None) -> None:
-    _bcast_forward_only(machine, team, my_tr, seq, root, radix, state,
+    _bcast_forward_only(machine, team, w, seq, root, radix, state,
                         cause=cause)
     state.my_work_done = True
-    w = team.world_rank(my_tr)
     if state.buf is not None and not state.op.local_data.done:
         state.buf[...] = state.arrived_payload
         state.op.local_data.set_result(None)
@@ -272,9 +267,8 @@ def _make_reduce_up_handler(machine):
                                         src=ctx.src)
         state = machine.coll_state(ctx.image, team_id, seq, _AState)
         state.child_values.append(ctx.payload)
-        team = machine.team_by_id(team_id)
-        _reduce_try_combine(machine, team, team.rank_of(ctx.image), seq,
-                            root, radix, state, cause=recv_stamp)
+        _reduce_try_combine(machine, machine.team_by_id(team_id), ctx.image,
+                            seq, root, radix, state, cause=recv_stamp)
         fin.count_completed(machine, ctx.image, key, recv_stamp)
     return handle_reduce_up
 
@@ -304,8 +298,8 @@ def reduce_async(ctx, value: Any, recvbuf: Optional[np.ndarray] = None,
     this becomes an allreduce: the combined value is broadcast back and
     written into every member's ``result_buf``."""
     machine = ctx.machine
-    _ensure_handlers(machine)
     team = team if team is not None else ctx.team_world
+    sync.check_radix(radix)
     implicit = src_event is None and local_event is None
     key = _check_finish_team(ctx, team, implicit)
     machine.stats.incr("acoll.allreduce" if _broadcast_result
@@ -323,8 +317,7 @@ def reduce_async(ctx, value: Any, recvbuf: Optional[np.ndarray] = None,
     state.reduce_op = sync.op_function(op)
     state.buf = result_buf if _broadcast_result else recvbuf
     state.phase2 = _broadcast_result
-    my_tr = team.rank_of(ctx.rank)
-    _reduce_try_combine(machine, team, my_tr, seq, root, radix, state,
+    _reduce_try_combine(machine, team, ctx.rank, seq, root, radix, state,
                         cause=ctx.activation.cause)
 
     if implicit:
@@ -359,21 +352,19 @@ def barrier_async(ctx, team: Optional[Team] = None,
     )
 
 
-def _reduce_try_combine(machine, team: Team, my_tr: int, seq: int,
+def _reduce_try_combine(machine, team: Team, w: int, seq: int,
                         root: int, radix: int, state: _AState,
                         cause=None) -> None:
     if not state.have_own or state.sent_up:
         return
-    children = team.tree_children(my_tr, root, radix)
+    parent, children = team.tree_links(w, root, radix)
     if len(state.child_values) < len(children):
         return
     state.sent_up = True
     combined = state.value
     for v in state.child_values:
         combined = state.reduce_op(combined, v)
-    w = team.world_rank(my_tr)
-    parent_tr = team.tree_parent(my_tr, root, radix)
-    if parent_tr is None:
+    if parent is None:
         # Root: reduction complete here.
         if state.buf is not None:
             state.buf[...] = combined
@@ -382,7 +373,7 @@ def _reduce_try_combine(machine, team: Team, my_tr: int, seq: int,
             # Allreduce: fan the result back out on the broadcast plane.
             state.arrived = True
             state.arrived_payload = combined
-            _bcast_forward(machine, team, my_tr, seq, root, radix, state,
+            _bcast_forward(machine, team, w, seq, root, radix, state,
                            combined, cause=cause)
             state.op.local_data.set_result(None)
             if state.src_event is not None:
@@ -395,10 +386,10 @@ def _reduce_try_combine(machine, team: Team, my_tr: int, seq: int,
                 machine.post_event(state.src_event, from_rank=w)
             _maybe_local_op(machine, w, state)
     else:
-        dst = team.world_rank(parent_tr)
-        stamp = fin.count_send(machine, w, state.key, dst=dst, cause=cause)
+        stamp = fin.count_send(machine, w, state.key, dst=parent,
+                               cause=cause)
         receipt = machine.am.request_nb(
-            w, dst, _REDUCE_UP,
+            w, parent, _REDUCE_UP,
             args=(team.id, seq, root, radix, state.key,
                   fin.wire_tag(stamp)),
             payload=combined, payload_size=sizeof(combined),

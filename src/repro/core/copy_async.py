@@ -107,12 +107,12 @@ def _event_ref(ctx, ev) -> Optional[EventRef]:
     raise TypeError(f"expected EventVar or EventRef, got {type(ev).__name__}")
 
 
-def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_PUT, _make_put_handler(machine))
-    machine.am.ensure_registered(_GET_REQ, _make_get_req_handler(machine))
-    machine.am.ensure_registered(_DATA, _make_data_handler(machine))
-    machine.am.ensure_registered(_FWD, _make_fwd_handler(machine))
-    machine.am.ensure_registered(_DONE, _make_done_handler(machine))
+def register_handlers(machine) -> None:
+    machine.am.register(_PUT, _make_put_handler(machine))
+    machine.am.register(_GET_REQ, _make_get_req_handler(machine))
+    machine.am.register(_DATA, _make_data_handler(machine))
+    machine.am.register(_FWD, _make_fwd_handler(machine))
+    machine.am.register(_DONE, _make_done_handler(machine))
 
 
 def _make_put_handler(machine):
@@ -219,7 +219,6 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
     the handle themselves and must not be finish-counted).
     """
     machine = ctx.machine
-    _ensure_handlers(machine)
     d = _normalize(ctx, dest, "dest")
     s = _normalize(ctx, src, "src")
     pre = _event_ref(ctx, pre_event)

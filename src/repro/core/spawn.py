@@ -81,8 +81,8 @@ def _marshal(arg: Any) -> Any:
     return arg  # immutables need no copy
 
 
-def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_EXEC, _make_exec_handler(machine))
+def register_handlers(machine) -> None:
+    machine.am.register(_EXEC, _make_exec_handler(machine))
 
 
 def _make_exec_handler(machine):
@@ -144,7 +144,6 @@ def spawn(ctx, fn, target: int, *args: Any,
             "(def f(image, ...): ... yield ...)"
         )
     machine = ctx.machine
-    _ensure_handlers(machine)
     team = team if team is not None else ctx.team_world
     dst = team.world_rank(target)
 

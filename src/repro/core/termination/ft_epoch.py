@@ -47,9 +47,9 @@ _REPORT = "ft.report"
 _VERDICT = "ft.verdict"
 
 
-def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_REPORT, _make_report_handler(machine))
-    machine.am.ensure_registered(_VERDICT, _make_verdict_handler(machine))
+def register_handlers(machine) -> None:
+    machine.am.register(_REPORT, _make_report_handler(machine))
+    machine.am.register(_VERDICT, _make_verdict_handler(machine))
 
 
 def _verdict_slot(key, r) -> tuple:
@@ -222,7 +222,6 @@ def ft_epoch_detector(ctx, frame: FinishFrame) -> Generator[Any, Any, int]:
             "ft_epoch detector requires failure detection "
             "(run_spmd(..., failure_detection=True))"
         )
-    _ensure_handlers(machine)
     from repro.runtime.failure import build_failure_error
 
     key = frame.key

@@ -46,7 +46,7 @@ def _flags(machine, key: tuple) -> dict:
     return machine.scratch.setdefault(("term.vector.flags", key), {})
 
 
-def _ensure_handlers(machine) -> None:
+def register_handlers(machine) -> None:
     def handle_report(ctx, key, team_rank, version, sent_to, completed,
                       team_size):
         state = _owner_state(machine, key, team_size)
@@ -60,8 +60,8 @@ def _ensure_handlers(machine) -> None:
         _flags(machine, key)[ctx.image] = True
         frame_at(machine, ctx.image, key).cond.wake()
 
-    machine.am.ensure_registered(_REPORT, handle_report)
-    machine.am.ensure_registered(_ALL_DONE, handle_done)
+    machine.am.register(_REPORT, handle_report)
+    machine.am.register(_ALL_DONE, handle_done)
 
 
 def _record_report(machine, owner_world: int, key, state: _OwnerState,
@@ -97,7 +97,6 @@ def vector_count_detector(ctx, frame: FinishFrame
     """Centralized detection; returns the number of reports this image
     sent (the per-image analogue of a wave count)."""
     machine = ctx.machine
-    _ensure_handlers(machine)
     team = frame.team
     key = frame.key
     owner_world = team.world_rank(0)

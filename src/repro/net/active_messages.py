@@ -29,6 +29,10 @@ class AMCategory(enum.Enum):
     MEDIUM = "medium"
     LONG = "long"
 
+    def __init__(self, value: str) -> None:
+        #: stats key counting requests of this category
+        self.stat = "am." + value
+
 
 class AMSizeError(ValueError):
     """Payload too large for the requested AM category."""
@@ -72,6 +76,8 @@ class AMLayer:
         self.params = network.params
         self.credits = credit_manager
         self._handlers: dict[str, Callable] = {}
+        #: names of the generator handlers, which run as tasks
+        self._task_handlers: set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Handler registry
@@ -79,16 +85,21 @@ class AMLayer:
 
     def register(self, name: str, fn: Callable) -> None:
         """Register a handler.  Generator functions become tasks at
-        delivery; plain callables run inline."""
+        delivery; plain callables run inline (decided here, once)."""
         if name in self._handlers:
             raise ValueError(f"AM handler {name!r} already registered")
-        self._handlers[name] = fn
+        self._add(name, fn)
 
     def ensure_registered(self, name: str, fn: Callable) -> None:
-        """Idempotent registration (used by layers that lazily install
-        their handlers)."""
+        """Idempotent registration (for services started after the
+        machine is built, such as the failure detector)."""
         if name not in self._handlers:
-            self._handlers[name] = fn
+            self._add(name, fn)
+
+    def _add(self, name: str, fn: Callable) -> None:
+        self._handlers[name] = fn
+        if inspect.isgeneratorfunction(fn):
+            self._task_handlers.add(name)
 
     # ------------------------------------------------------------------ #
     # Requests
@@ -128,7 +139,7 @@ class AMLayer:
             kind=kind or f"am.{handler}",
             on_deliver=self._on_deliver,
         )
-        self.network.stats.incr(f"am.{category.value}")
+        self.network.stats.incr(category.stat)
         return self.network.send(msg, want_ack=want_ack,
                                  best_effort=best_effort)
 
@@ -165,7 +176,7 @@ class AMLayer:
         handler_name, args, payload = msg.payload
         fn = self._handlers[handler_name]
         ctx = HandlerContext(self, msg.dst, msg.src, msg, payload)
-        if inspect.isgeneratorfunction(fn):
+        if handler_name in self._task_handlers:
             # Handler tasks run on behalf of the destination image, so a
             # fail-stop crash of that image halts them too.
             Task(self.sim, fn(ctx, *args),

@@ -76,6 +76,14 @@ _FALLBACK_JITTER_SS = np.random.SeedSequence(0xC0FFEE)
 _FALLBACK_FAULT_SS = np.random.SeedSequence(0xFA117)
 
 
+class _KindStats(dict):
+    """``net.kind.<kind>`` stats keys, each built on a kind's first send."""
+
+    def __missing__(self, kind: str) -> str:
+        key = self[kind] = "net.kind." + kind
+        return key
+
+
 class RetryExhaustedError(RuntimeError):
     """The reliable transport gave up on a message: every transmission
     (original plus ``retry_cap`` retries) was lost.
@@ -474,6 +482,7 @@ class Network(Transport):
         #: per-directed-link retransmission counts (RetryExhaustedError
         #: snapshots these; also a chaos diagnostic)
         self.link_retransmits: dict[tuple, int] = {}
+        self._kind_stats = _KindStats()
         #: crash trigger hook: called as ``fn(image)`` (via call_soon, so
         #: the triggering send completes first) when the fault plan's
         #: ``crash_after_n_sends`` threshold is reached
@@ -497,7 +506,7 @@ class Network(Transport):
         inject_end = self._inject(msg)
 
         self.stats.incr("net.bytes", msg.size)
-        self.stats.incr(f"net.kind.{msg.kind}")
+        self.stats.incr(self._kind_stats[msg.kind])
 
         self.sim.schedule_at(inject_end, receipt.injected.set_result, None)
 

@@ -26,7 +26,7 @@ _REL = "lock.release"
 _GRANT = "lock.grant"
 
 
-def _ensure_handlers(machine: "Machine") -> None:
+def register_handlers(machine: "Machine") -> None:
     def handle_acquire(ctx, lock_name: str, token: int) -> None:
         lock = machine.lock_by_name(lock_name)
         lock._acquire_at(ctx.image, ctx.src, token)
@@ -39,9 +39,9 @@ def _ensure_handlers(machine: "Machine") -> None:
         fut = machine.scratch.pop(("lock.grant", token))
         fut.set_result(None)
 
-    machine.am.ensure_registered(_ACQ, handle_acquire)
-    machine.am.ensure_registered(_REL, handle_release)
-    machine.am.ensure_registered(_GRANT, handle_grant)
+    machine.am.register(_ACQ, handle_acquire)
+    machine.am.register(_REL, handle_release)
+    machine.am.register(_GRANT, handle_grant)
 
 
 class LockVar:
@@ -58,7 +58,6 @@ class LockVar:
         # lock over 8192 images costs nothing up front (DESIGN.md §13).
         self._held: set[int] = set()
         self._queues: dict[int, deque[tuple[int, int]]] = {}
-        _ensure_handlers(machine)
 
     # -- home-side mechanics ------------------------------------------------ #
 

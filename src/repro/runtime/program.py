@@ -43,6 +43,7 @@ from repro.runtime.memory_model import Activation
 from repro.runtime.team import Team
 
 _EVENT_POST = "event.post"
+_EVENT_FIRE = "event.fire"
 
 
 def _member_key(members) -> tuple:
@@ -234,28 +235,26 @@ class Machine:
             from repro.analysis.racecheck import RaceDetector
             self.racecheck = RaceDetector(self)
 
-        self.am.ensure_registered(_EVENT_POST, self._handle_event_post)
-        if backend == "process":
-            self._register_remote_handlers()
+        self._register_handlers()
 
-    def _register_remote_handlers(self) -> None:
-        """Eagerly register every AM handler family.
+    def _register_handlers(self) -> None:
+        """Register every core AM handler family, once per machine.
 
-        Under the simulator lazy registration is safe: the first caller
-        anywhere registers a handler on the single shared machine, so by
-        the time an AM is *delivered* its protocol is always known.
-        With one machine per OS process, an inbound AM can arrive before
-        this process ever makes the corresponding local call (e.g. a
-        spawn lands here before this rank's own first spawn) — a worker
-        must know every protocol from birth."""
+        Operations never register handlers themselves, so a spawn, copy
+        or collective pays no registration cost.  This is also what the
+        process backend needs: with one machine per OS process, an
+        inbound AM can arrive before this process makes the matching
+        local call (a spawn lands before this rank's own first spawn),
+        so a worker must know every protocol from birth."""
         from repro.core import (collectives, collectives_algos,
                                 collectives_async, copy_async, spawn)
         from repro.core.termination import ft_epoch, vector_count
         from repro.runtime import lock as lock_mod
+        self.am.register(_EVENT_POST, self._handle_event_post)
+        self.am.register(_EVENT_FIRE, self._handle_event_fire)
         for mod in (collectives, collectives_algos, collectives_async,
                     copy_async, spawn, ft_epoch, vector_count, lock_mod):
-            mod._ensure_handlers(self)
-        self.am.ensure_registered("event.fire", self._handle_event_fire)
+            mod.register_handlers(self)
 
     # ------------------------------------------------------------------ #
     # Registries
@@ -422,11 +421,11 @@ class Machine:
     def get_or_create_frame(self, world_rank: int, key: tuple):
         """Finish frame for (image, key); lazily created because shipped
         functions can land before the image enters its own block."""
-        from repro.core.finish import FinishFrame
-
         full_key = (world_rank, key)
         frame = self._frames.get(full_key)
         if frame is None:
+            from repro.core.finish import FinishFrame
+
             team_id, seq = key
             frame = FinishFrame(self, world_rank, self.team_by_id(team_id),
                                 seq)
@@ -480,11 +479,10 @@ class Machine:
                 token = self.next_token()
                 self.scratch[("when_event", token)] = action
                 self.am.request_nb(
-                    home, initiator, "event.fire", args=(token,),
+                    home, initiator, _EVENT_FIRE, args=(token,),
                     category=AMCategory.SHORT, kind="event.fire",
                 )
 
-        self.am.ensure_registered("event.fire", self._handle_event_fire)
         self.start_internal_task(wait_and_fire(), name=f"when_event@{home}")
 
     def _handle_event_fire(self, ctx, token: int) -> None:

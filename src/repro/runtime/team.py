@@ -27,7 +27,7 @@ class Team:
 
     _ids = itertools.count()
 
-    __slots__ = ("id", "members", "parent", "_rank_of")
+    __slots__ = ("id", "members", "parent", "_rank_of", "_links")
 
     def __init__(self, members: Sequence[int], team_id: int | None = None,
                  parent: "Team | None" = None):
@@ -50,6 +50,8 @@ class Team:
             self._rank_of = {w: i for i, w in enumerate(members)}
         self.id = next(Team._ids) if team_id is None else team_id
         self.parent = parent
+        #: tree links by (world rank, root, radix), filled on first use
+        self._links: dict[tuple, tuple] = {}
 
     # -- membership ----------------------------------------------------- #
 
@@ -94,7 +96,15 @@ class Team:
 
     def is_subset_of(self, other: "Team") -> bool:
         """True when every member of self is a member of ``other``
-        (the containment rule for collectives under finish, §III-A.1)."""
+        (the containment rule for collectives under finish, §III-A.1).
+
+        Constant time for the common cases — the same team, or two
+        contiguous teams — so a nested finish costs O(1), not O(p)."""
+        if other is self:
+            return True
+        if self._rank_of is None and other._rank_of is None:
+            mine, theirs = self.members, other.members
+            return theirs.start <= mine.start and mine.stop <= theirs.stop
         return all(w in other for w in self.members)
 
     # -- tree shape for collectives ------------------------------------- #
@@ -117,6 +127,24 @@ class Team:
             child_pos = radix * pos + 1 + i
             if child_pos < self.size:
                 out.append((child_pos + root) % self.size)
+        return out
+
+    def tree_links(self, world_rank: int, root: int = 0, radix: int = 2
+                   ) -> tuple[int | None, tuple[int, ...]]:
+        """``(parent, children)`` of ``world_rank`` as world ranks in the
+        tree of :meth:`tree_parent`/:meth:`tree_children` (parent None
+        at the root).  Computed once per (rank, root, radix), so a
+        collective hop does no tree arithmetic."""
+        key = (world_rank, root, radix)
+        out = self._links.get(key)
+        if out is None:
+            members = self.members
+            my_tr = self.rank_of(world_rank)
+            parent_tr = self.tree_parent(my_tr, root, radix)
+            out = self._links[key] = (
+                None if parent_tr is None else members[parent_tr],
+                tuple(members[c]
+                      for c in self.tree_children(my_tr, root, radix)))
         return out
 
     def alive_members(self, suspects) -> list[int]:

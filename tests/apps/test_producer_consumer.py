@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import run_spmd
 from repro.apps.producer_consumer import (
     COPY_BYTES,
     FANOUT,
     PCConfig,
     VARIANTS,
+    pc_kernel,
+    pc_setup,
     run_producer_consumer,
 )
 
@@ -56,6 +59,22 @@ class TestVariants:
                 n, PCConfig(variant="finish", iterations=30)).sim_time
             ratios[n] = fi / cf
         assert ratios[16] > ratios[4]
+
+    def test_finish_golden(self):
+        """Pinned simulated time and run counters of the finish variant:
+        host-side optimisations must leave the simulated program as is."""
+        config = PCConfig(iterations=20, variant="finish")
+        result = run_producer_consumer(8, config, seed=1)
+        assert result.sim_time == 0.00044497440000000084
+        machine, results = run_spmd(pc_kernel, 8, seed=1, args=(config,),
+                                    setup=pc_setup)
+        assert max(results) == result.sim_time
+        summary = machine.summary()
+        assert {k: summary[k] for k in (
+            "events_processed", "messages", "finish_waves",
+            "finish_blocks", "copies")} == {
+            "events_processed": 1752, "messages": 646,
+            "finish_waves": 312, "finish_blocks": 168, "copies": 100}
 
     def test_deterministic(self):
         a = run_producer_consumer(4, PCConfig(iterations=10), seed=3)

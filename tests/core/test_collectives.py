@@ -249,3 +249,44 @@ class TestTeamSplit:
         assert list(results[0]) == [0, 1]
         assert list(results[5]) == [4, 5]
         assert list(results[7]) == [6, 7]
+
+
+def _sync_allreduce(img, radix):
+    from repro.core import collectives
+    yield from collectives.allreduce(img, 1, radix=radix)
+
+
+def _sync_broadcast(img, radix):
+    from repro.core import collectives
+    yield from collectives.broadcast(img, 1, radix=radix)
+
+
+def _async_broadcast(img, radix):
+    op = img.broadcast_async(np.zeros(2), radix=radix)
+    yield from img.wait_all([op])
+
+
+def _async_allreduce(img, radix):
+    op = img.allreduce_async(1, radix=radix)
+    yield from img.wait_all([op])
+
+
+def _finish_radix_override(img, radix):
+    img.machine.scratch["finish.allreduce_radix"] = radix
+    yield from img.finish_begin()
+    yield from img.finish_end()
+
+
+@pytest.mark.parametrize("radix", [0, -1])
+@pytest.mark.parametrize("entry", [
+    _sync_allreduce, _sync_broadcast, _async_broadcast, _async_allreduce,
+    _finish_radix_override,
+])
+def test_radix_below_one_is_a_typed_error(spmd, entry, radix):
+    """A degenerate tree radix is refused on every member with a
+    ValueError, not a ZeroDivisionError or a hang."""
+    from repro.sim.tasks import TaskFailed
+
+    with pytest.raises(TaskFailed, match="radix must be >= 1") as info:
+        spmd(lambda img: entry(img, radix), n=4)
+    assert isinstance(info.value.__cause__, ValueError)

@@ -149,6 +149,33 @@ class TestNesting:
 
         spmd(kernel, n=4)
 
+    def test_nested_world_finish_checks_containment_in_constant_time(
+            self, spmd, monkeypatch):
+        """Entering a finish nested in one on the same 64-image team
+        costs O(1) membership tests, not one per member."""
+        from repro.runtime.team import Team
+
+        calls = [0]
+        contains = Team.__contains__
+
+        def counting(team, world_rank):
+            calls[0] += 1
+            return contains(team, world_rank)
+
+        monkeypatch.setattr(Team, "__contains__", counting)
+
+        def kernel(img):
+            yield from img.finish_begin()
+            before = calls[0]
+            yield from img.finish_begin()
+            used = calls[0] - before
+            yield from img.finish_end()
+            yield from img.finish_end()
+            return used
+
+        _m, results = spmd(kernel, n=64)
+        assert max(results) <= 2
+
     def test_subteam_finish(self, spmd):
         def remote(img):
             yield from img.compute(1e-6)

@@ -69,6 +69,56 @@ class TestHandlerDispatch:
         am.ensure_registered("h", lambda ctx: None)  # ignored
         assert am._handlers["h"] is fn
 
+    def test_dispatch_is_decided_at_registration(self, monkeypatch):
+        """Generator handlers run as tasks and plain ones inline, by the
+        kind of function registered; delivery does not inspect it."""
+        from repro.net import active_messages
+
+        sim, am = make_am()
+        seen = []
+
+        def gen_handler(ctx):
+            seen.append(("task", ctx.image))
+            yield Delay(0.0)
+
+        am.register("plain", lambda ctx: seen.append(("inline", ctx.image)))
+        am.register("gen", gen_handler)
+        tasks = []
+
+        class RecordingTask(Task):
+            def __init__(self, *args, **kwargs):
+                tasks.append(kwargs["name"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(active_messages, "Task", RecordingTask)
+        monkeypatch.setattr(
+            active_messages.inspect, "isgeneratorfunction",
+            lambda fn: pytest.fail("handler inspected at delivery"))
+        am.request_nb(0, 1, "plain", category=AMCategory.SHORT)
+        am.request_nb(0, 2, "gen", category=AMCategory.SHORT)
+        sim.run()
+        assert sorted(seen) == [("inline", 1), ("task", 2)]
+        assert tasks == ["am.gen@2"]
+
+
+def test_machine_registers_every_core_handler_family_at_birth():
+    """Operations never register handlers: a fresh simulated machine
+    already knows every protocol of the core layers."""
+    from repro.runtime.program import Machine
+
+    machine = Machine(4)
+    assert {
+        "spawn.exec",
+        "copy.put", "copy.get_req", "copy.data", "copy.fwd", "copy.done",
+        "coll.up", "coll.down",
+        "acoll.bcast", "acoll.reduce_up", "acoll.subtree_done",
+        "algcoll.ring", "algcoll.pipe",
+        "ft.report", "ft.verdict",
+        "term.vector.report", "term.vector.done",
+        "lock.acquire", "lock.release", "lock.grant",
+        "event.post", "event.fire",
+    } <= set(machine.am._handlers)
+
 
 class TestSizeRules:
     def test_short_rejects_payload(self):

@@ -41,6 +41,23 @@ class TestMembership:
         assert not world.is_subset_of(sub)
         assert sub.is_subset_of(sub)
 
+    @pytest.mark.parametrize("mine, theirs, expected", [
+        (range(8), range(8), True),          # equal ranges, distinct objects
+        (range(2, 5), range(8), True),       # nested ranges
+        (range(0, 8), range(2, 5), False),   # range strictly contains
+        (range(3, 9), range(0, 6), False),   # overlapping ranges
+        (range(6, 9), range(0, 6), False),   # disjoint ranges
+        (range(0, 1), range(0, 1), True),    # singletons
+        ([5, 1, 3], range(8), True),         # list inside range
+        ([5, 1, 9], range(8), False),        # list leaves the range
+        (range(2, 4), [9, 3, 2, 0], True),   # range inside list
+        (range(2, 5), [9, 3, 2, 0], False),  # range leaves the list
+        ([4, 2], [1, 2, 3, 4], True),        # list inside list
+        ([4, 5], [1, 2, 3, 4], False),       # list leaves the list
+    ])
+    def test_subset_table(self, mine, theirs, expected):
+        assert Team(mine).is_subset_of(Team(theirs)) is expected
+
 
 class TestTreeShape:
     def test_root_has_no_parent(self):
@@ -74,6 +91,24 @@ class TestTreeShape:
                 assert hops <= t.size
         # depth is logarithmic for radix 2
         assert hops <= 5
+
+    @pytest.mark.parametrize("members", [range(11), [7, 3, 9, 0, 4, 12, 5]])
+    def test_tree_links_match_tree_shape(self, members):
+        t = Team(members)
+        for root in (0, 2):
+            for radix in (1, 2, 3):
+                for tr in range(t.size):
+                    w = t.world_rank(tr)
+                    parent, children = t.tree_links(w, root, radix)
+                    p_tr = t.tree_parent(tr, root, radix)
+                    assert parent == (None if p_tr is None
+                                      else t.world_rank(p_tr))
+                    assert children == tuple(
+                        t.world_rank(c)
+                        for c in t.tree_children(tr, root, radix))
+                    # computed once, then served from the cache
+                    assert t.tree_links(w, root, radix) is t.tree_links(
+                        w, root, radix)
 
     def test_rotated_root_tree_covers_all(self):
         t = Team(range(6))
