@@ -37,6 +37,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
+from repro.sim.engine import TaskRegistry
+
 #: Scheduled entry: ``[time, seq, fn, args]``; ``fn is None`` = cancelled.
 Event = List[Any]
 
@@ -51,7 +53,7 @@ class RealtimeScheduler:
         self._seq = 0
         self._events_processed = 0
         self._task_seq = 0
-        self._tasks: list[Any] = []
+        self.live_tasks = TaskRegistry()
         self._drain_hooks: list[Callable] = []
         # Cross-thread injection: guarded by the condition's lock; the
         # loop moves entries to `_ready` before running them.
@@ -79,22 +81,8 @@ class RealtimeScheduler:
         self._task_seq += 1
         return self._task_seq
 
-    def _register_task(self, task: Any) -> None:
-        self._tasks.append(task)
-
     def kill_owner(self, owner: int) -> int:
-        killed = 0
-        keep = []
-        for task in self._tasks:
-            if task._killed or task.done_future.done:
-                continue
-            if task.owner == owner:
-                task.kill()
-                killed += 1
-            else:
-                keep.append(task)
-        self._tasks = keep
-        return killed
+        return self.live_tasks.kill_owner(owner)
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         if delay <= 0.0:

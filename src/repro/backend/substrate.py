@@ -76,7 +76,8 @@ class Substrate(Protocol):
 
     def next_task_id(self) -> int: ...
 
-    def _register_task(self, task: Any) -> None: ...
+    #: the live owned tasks (:class:`repro.sim.engine.TaskRegistry`)
+    live_tasks: Any
 
     def kill_owner(self, owner: int) -> int: ...
 

@@ -213,9 +213,9 @@ def _bcast_forward(machine, team: Team, src_w: int, seq: int, root: int,
         chain(receipt.delivered, ack)
         state.pair_futures.extend([inj, ack])
         if state.key is not None:
-            receipt.delivered.add_done_callback(
-                lambda f, k=state.key, s=stamp, w=src_w:
-                fin.count_delivery_outcome(machine, w, k, s, f))
+            receipt.delivered.add_done_callback(fin.CountedSend(
+                fin.frame_at(machine, src_w, state.key),
+                stamp).count_outcome)
     state.my_work_done = True
 
 
@@ -401,9 +401,8 @@ def _reduce_try_combine(machine, team: Team, w: int, seq: int,
         chain(receipt.delivered, ack)
         state.pair_futures.extend([inj, ack])
         if state.key is not None:
-            receipt.delivered.add_done_callback(
-                lambda f, k=state.key, s=stamp:
-                fin.count_delivery_outcome(machine, w, k, s, f))
+            receipt.delivered.add_done_callback(fin.CountedSend(
+                fin.frame_at(machine, w, state.key), stamp).count_outcome)
         if state.phase2:
             # Non-root in an allreduce: completion comes with the
             # downward broadcast (handled by the bcast handler, which

@@ -14,6 +14,12 @@ carrying one future per completion point:
 
 The invariant ``local_data ≤ local_op ≤ global_done`` (in time) holds for
 every operation; tests assert it.
+
+An operation that sends a message drives its completion points from the
+message's transport receipt through one :class:`OpCompletion` record
+(DESIGN.md §9.6): a slotted object whose bound methods are the receipt's
+done-callbacks, so a finished operation leaves no closure cells or
+reference cycles behind for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -22,6 +28,18 @@ from typing import Optional
 
 from repro.sim.tasks import Future
 from repro.runtime.memory_model import PendingOp
+from repro.core.finish import CountedSend
+
+#: future names per operation kind, built once per kind
+_NAMES: dict[str, tuple[str, str, str, str]] = {}
+
+
+def _names(kind: str) -> tuple[str, str, str, str]:
+    names = _NAMES.get(kind)
+    if names is None:
+        names = _NAMES[kind] = (f"{kind}.initiated", f"{kind}.local_data",
+                                f"{kind}.local_op", f"{kind}.global_done")
+    return names
 
 
 class AsyncOp:
@@ -32,10 +50,11 @@ class AsyncOp:
 
     def __init__(self, kind: str):
         self.kind = kind
-        self.initiated = Future(f"{kind}.initiated")
-        self.local_data = Future(f"{kind}.local_data")
-        self.local_op = Future(f"{kind}.local_op")
-        self.global_done = Future(f"{kind}.global_done")
+        initiated, local_data, local_op, global_done = _names(kind)
+        self.initiated = Future(initiated)
+        self.local_data = Future(local_data)
+        self.local_op = Future(local_op)
+        self.global_done = Future(global_done)
         #: the record registered on the initiating activation when the
         #: operation uses implicit completion; None for explicit ops
         self.pending_op: Optional[PendingOp] = None
@@ -62,12 +81,39 @@ class AsyncOp:
         return f"<AsyncOp {self.kind} @{stage}>"
 
 
+def forward(src: Future, dst: Future) -> None:
+    """Resolve ``dst`` as the resolved ``src`` (value or exception)."""
+    exc = src._exc
+    if exc is not None:
+        dst.set_exception(exc)
+    else:
+        dst.set_result(src._value)
+
+
 def chain(src: Future, dst: Future) -> None:
     """Resolve ``dst`` when ``src`` resolves (value forwarded)."""
-    def forward(f: Future) -> None:
-        exc = f.exception()
-        if exc is not None:
-            dst.set_exception(exc)
-        else:
-            dst.set_result(f.result())
-    src.add_done_callback(forward)
+    src.add_done_callback(lambda f: forward(f, dst))
+
+
+class OpCompletion(CountedSend):
+    """The completion record of one message-sending operation.
+
+    Holds what the operation's completion needs once its message is on
+    the wire: the :class:`AsyncOp`, the initiating machine and image,
+    and (as a :class:`CountedSend`) the finish counting of the send.
+    :meth:`on_injected` forwards the receipt's ``injected`` future to
+    ``local_data``; each operation subclass supplies ``on_delivered``
+    with its own callback order."""
+
+    __slots__ = ("op", "machine", "rank")
+
+    def __init__(self, op: AsyncOp, machine, rank: int, frame,
+                 stamp: Optional[tuple]):
+        self.op = op
+        self.machine = machine
+        self.rank = rank
+        self.frame = frame
+        self.stamp = stamp
+
+    def on_injected(self, f: Future) -> None:
+        forward(f, self.op.local_data)

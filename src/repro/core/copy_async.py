@@ -40,7 +40,7 @@ import numpy as np
 from repro.runtime.coarray import CoarrayRef
 from repro.runtime.event import EventRef, EventVar
 from repro.net.active_messages import AMCategory
-from repro.core.completion import AsyncOp, chain
+from repro.core.completion import AsyncOp, OpCompletion, forward
 from repro.core import finish as fin
 
 _PUT = "copy.put"
@@ -150,10 +150,9 @@ def _make_get_req_handler(machine):
             kind="copy.data",
         )
         if key is not None:
-            src_img = ctx.image
-            receipt.delivered.add_done_callback(
-                lambda f: fin.count_delivery_outcome(machine, src_img, key,
-                                                     reply_stamp, f))
+            receipt.delivered.add_done_callback(fin.CountedSend(
+                fin.frame_at(machine, ctx.image, key),
+                reply_stamp).count_outcome)
         fin.count_completed(machine, ctx.image, key, recv_stamp)
     return handle_get_req
 
@@ -179,7 +178,6 @@ def _make_fwd_handler(machine):
         put_stamp = fin.count_send(machine, ctx.image, key,
                                    dst=dest_ref.world_rank,
                                    cause=recv_stamp)
-        src_img = ctx.image
         receipt = machine.am.request_nb(
             ctx.image, dest_ref.world_rank, _PUT,
             args=(dest_ref, key, fin.wire_tag(put_stamp), dest_event,
@@ -189,9 +187,9 @@ def _make_fwd_handler(machine):
             kind="copy.put",
         )
         if key is not None:
-            receipt.delivered.add_done_callback(
-                lambda f: fin.count_delivery_outcome(machine, src_img, key,
-                                                     put_stamp, f))
+            receipt.delivered.add_done_callback(fin.CountedSend(
+                fin.frame_at(machine, ctx.image, key),
+                put_stamp).count_outcome)
         fin.count_completed(machine, ctx.image, key, recv_stamp)
     return handle_fwd
 
@@ -227,7 +225,6 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
 
     implicit = src_event is None and dest_event is None and not _explicit
     frame = ctx.activation.current_frame() if implicit else None
-    key = frame.key if frame is not None else None
 
     op = AsyncOp("copy")
     machine.stats.incr("copy.initiated")
@@ -247,28 +244,36 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
                                          predicated=pre is not None)
             if machine.racecheck is not None else None)
 
-    def launch() -> None:
-        if op.pending_op is not None:
-            op.pending_op.started = True
-        if rcop is not None:
-            machine.racecheck.copy_started(ctx, rcop, implicit, d, s, pre,
-                                           src_ev, dest_ev)
-        if src_local and dest_local:
-            _start_local(ctx, machine, op, d, s, src_ev, dest_ev)
-        elif src_local:
-            _start_put(ctx, machine, op, d, s, key, src_ev, dest_ev)
-        elif dest_local:
-            _start_get(ctx, machine, op, d, s, key, src_ev, dest_ev)
-        else:
-            _start_forward(ctx, machine, op, d, s, key, src_ev, dest_ev)
-
+    launch = (ctx, machine, op, rcop, implicit, d, s, frame, pre, src_ev,
+              dest_ev)
     if pre is None:
-        launch()
+        _launch(*launch)
     else:
         if op.pending_op is not None:
             op.pending_op.started = False
-        machine.when_event(pre, ctx.rank, launch)
+        machine.when_event(pre, ctx.rank, lambda: _launch(*launch))
     return op
+
+
+def _launch(ctx, machine, op: AsyncOp, rcop, implicit: bool, d: _Loc,
+            s: _Loc, frame, pre, src_ev, dest_ev) -> None:
+    """Start the copy (at once, or when its predicate event is posted)
+    on the path its endpoints' placement selects.  ``frame`` is the
+    finish frame an implicit copy counts toward (else None)."""
+    if op.pending_op is not None:
+        op.pending_op.started = True
+    if rcop is not None:
+        machine.racecheck.copy_started(ctx, rcop, implicit, d, s, pre,
+                                       src_ev, dest_ev)
+    if s.rank == ctx.rank:
+        if d.rank == ctx.rank:
+            _start_local(ctx, machine, op, d, s, src_ev, dest_ev)
+        else:
+            _start_put(ctx, machine, op, d, s, frame, src_ev, dest_ev)
+    elif d.rank == ctx.rank:
+        _start_get(ctx, machine, op, d, s, frame, src_ev, dest_ev)
+    else:
+        _start_forward(ctx, machine, op, d, s, frame, src_ev, dest_ev)
 
 
 def _start_local(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc,
@@ -291,9 +296,10 @@ def _start_local(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc,
     machine.sim.schedule(delay, apply)
 
 
-def _start_put(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, key,
+def _start_put(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, frame,
                src_ev, dest_ev) -> None:
     """Source on the initiator, destination remote: one data message."""
+    key = frame.key if frame is not None else None
     data = s.read()
     stamp = fin.count_send(machine, ctx.rank, key, dst=d.rank,
                            cause=ctx.activation.cause)
@@ -303,40 +309,51 @@ def _start_put(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, key,
         payload=data, payload_size=s.nbytes,
         category=AMCategory.LONG, want_ack=True, kind="copy.put",
     )
-    # Local data completion: the NIC has read the source buffer.
-    chain(receipt.injected, op.local_data)
-    if src_ev is not None:
-        receipt.injected.add_done_callback(
-            lambda _f: machine.post_event(src_ev, from_rank=ctx.rank))
-    # Local operation completion == global completion for a put from the
-    # initiator (§I: "for an asynchronous copy from p to q initiated by
-    # p, local data completion and local operation completion are
-    # equivalent" — on the *source* side; delivery is what the ack tells
-    # us, which is both this image's last pairwise communication and the
-    # operation's global completion).
-    chain(receipt.delivered, op.local_op)
-    chain(receipt.delivered, op.global_done)
-    receipt.delivered.add_done_callback(
-        lambda f: fin.count_delivery_outcome(machine, ctx.rank, key, stamp,
-                                             f))
+    done = _PutCompletion(op, machine, ctx.rank, frame, stamp, src_ev)
+    receipt.injected.add_done_callback(done.on_injected)
+    receipt.delivered.add_done_callback(done.on_delivered)
 
 
-def _start_get(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, key,
+class _PutCompletion(OpCompletion):
+    """Completion record of a put from the initiator.
+
+    ``injected``: ``local_data`` (the NIC has read the source buffer),
+    then the source event.  ``delivered``: ``local_op``, ``global_done``,
+    then the frame count.  Local operation completion == global
+    completion for a put from the initiator (§I: "for an asynchronous
+    copy from p to q initiated by p, local data completion and local
+    operation completion are equivalent" — on the *source* side;
+    delivery is what the ack tells us, which is both this image's last
+    pairwise communication and the operation's global completion)."""
+
+    __slots__ = ("src_ev",)
+
+    def __init__(self, op: AsyncOp, machine, rank: int, frame, stamp,
+                 src_ev) -> None:
+        super().__init__(op, machine, rank, frame, stamp)
+        self.src_ev = src_ev
+
+    def on_injected(self, f) -> None:
+        forward(f, self.op.local_data)
+        if self.src_ev is not None:
+            self.machine.post_event(self.src_ev, from_rank=self.rank)
+
+    def on_delivered(self, f) -> None:
+        op = self.op
+        forward(f, op.local_op)
+        forward(f, op.global_done)
+        self.count_outcome(f)
+
+
+def _start_get(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, frame,
                src_ev, dest_ev) -> None:
     """Source remote, destination on the initiator: request + reply."""
+    key = frame.key if frame is not None else None
     token = next(_tokens)
-
-    def complete(data) -> None:
-        d.write(data)
-        if dest_ev is not None:
-            machine.post_event(dest_ev, from_rank=ctx.rank)
-        op.local_data.set_result(None)
-        op.local_op.set_result(None)
-        op.global_done.set_result(None)
-
-    machine.scratch[("copy.token", token)] = complete
     stamp = fin.count_send(machine, ctx.rank, key, dst=s.rank,
                            cause=ctx.activation.cause)
+    done = _GetCompletion(op, machine, ctx.rank, frame, stamp, d, dest_ev)
+    machine.scratch[("copy.token", token)] = done.complete
     receipt = machine.am.request_nb(
         ctx.rank, s.rank, _GET_REQ,
         args=(s.ref, token, key, fin.wire_tag(stamp), src_ev, ctx.rank),
@@ -344,34 +361,65 @@ def _start_get(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, key,
         kind="copy.get_req",
     )
     if key is not None:
-        receipt.delivered.add_done_callback(
-            lambda f: fin.count_delivery_outcome(machine, ctx.rank, key,
-                                                 stamp, f))
+        receipt.delivered.add_done_callback(done.count_outcome)
 
 
-def _start_forward(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, key,
+class _GetCompletion(OpCompletion):
+    """Completion record of a get: the request's delivery ack only
+    counts it on the frame; the data reply's :meth:`complete` writes the
+    destination and resolves every completion point at once."""
+
+    __slots__ = ("dest", "dest_ev")
+
+    def __init__(self, op: AsyncOp, machine, rank: int, frame, stamp,
+                 dest: _Loc, dest_ev) -> None:
+        super().__init__(op, machine, rank, frame, stamp)
+        self.dest = dest
+        self.dest_ev = dest_ev
+
+    def complete(self, data) -> None:
+        self.dest.write(data)
+        if self.dest_ev is not None:
+            self.machine.post_event(self.dest_ev, from_rank=self.rank)
+        op = self.op
+        op.local_data.set_result(None)
+        op.local_op.set_result(None)
+        op.global_done.set_result(None)
+
+
+def _start_forward(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, frame,
                    src_ev, dest_ev) -> None:
     """Both endpoints remote: control to the source image, which puts to
     the destination; the destination confirms back to the initiator."""
+    key = frame.key if frame is not None else None
     token = next(_tokens)
-
-    def complete(_ignored) -> None:
-        op.global_done.set_result(None)
-
-    machine.scratch[("copy.token", token)] = complete
     stamp = fin.count_send(machine, ctx.rank, key, dst=s.rank,
                            cause=ctx.activation.cause)
+    done = _ForwardCompletion(op, machine, ctx.rank, frame, stamp)
+    machine.scratch[("copy.token", token)] = done.complete
     receipt = machine.am.request_nb(
         ctx.rank, s.rank, _FWD,
         args=(s.ref, d.ref, key, fin.wire_tag(stamp), src_ev, dest_ev,
               token, ctx.rank),
         category=AMCategory.SHORT, want_ack=True, kind="copy.fwd",
     )
-    # The initiator's buffers are never touched: its local-data point is
-    # the injection of the control message (argument evaluation done);
-    # its last pairwise communication is that message's delivery.
-    chain(receipt.injected, op.local_data)
-    chain(receipt.delivered, op.local_op)
-    receipt.delivered.add_done_callback(
-        lambda f: fin.count_delivery_outcome(machine, ctx.rank, key, stamp,
-                                             f))
+    receipt.injected.add_done_callback(done.on_injected)
+    receipt.delivered.add_done_callback(done.on_delivered)
+
+
+class _ForwardCompletion(OpCompletion):
+    """Completion record of a remote-to-remote copy.  The initiator's
+    buffers are never touched: its local-data point is the injection of
+    the control message (argument evaluation done); its last pairwise
+    communication is that message's delivery (``local_op``, then the
+    frame count); ``global_done`` waits for the destination's
+    confirmation (:meth:`complete`)."""
+
+    __slots__ = ()
+
+    def on_delivered(self, f) -> None:
+        forward(f, self.op.local_op)
+        self.count_outcome(f)
+
+    def complete(self, _ignored) -> None:
+        self.op.global_done.set_result(None)

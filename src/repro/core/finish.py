@@ -537,18 +537,30 @@ def count_received(machine, world_rank: int, key: Optional[tuple],
     return frame_at(machine, world_rank, key).on_received(bool(tag), src)
 
 
-def count_delivery_outcome(machine, world_rank: int, key: Optional[tuple],
-                           stamp: Optional[tuple], fut) -> None:
-    """Done-callback body for a counted send's ``delivered`` future:
-    count it delivered on success, uncount the send if the transport
-    reported the peer failed."""
-    if key is None or stamp is None:
-        return
-    frame = frame_at(machine, world_rank, key)
-    if fut.exception() is None:
-        frame.on_delivered(stamp)
-    else:
-        frame.on_send_failed(stamp)
+class CountedSend:
+    """The finish counting of one counted send, kept until its delivery
+    ack: :meth:`count_outcome` (a ``delivered`` done-callback) counts
+    the send delivered on the sender's ``frame``, or uncounts it if the
+    transport reported the peer failed.  ``frame`` and ``stamp`` are
+    None for a send outside any finish.  A slotted record rather than a
+    closure, so it dies by reference count once the ack has fired
+    (DESIGN.md §9.6)."""
+
+    __slots__ = ("frame", "stamp")
+
+    def __init__(self, frame: Optional[FinishFrame],
+                 stamp: Optional[tuple]):
+        self.frame = frame
+        self.stamp = stamp
+
+    def count_outcome(self, fut) -> None:
+        stamp = self.stamp
+        if stamp is None:
+            return
+        if fut.exception() is None:
+            self.frame.on_delivered(stamp)
+        else:
+            self.frame.on_send_failed(stamp)
 
 
 def count_completed(machine, world_rank: int, key: Optional[tuple],

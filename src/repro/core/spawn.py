@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+from types import FunctionType
 from typing import Any, Generator, Optional
 
 import numpy as np
@@ -38,15 +39,21 @@ from repro.runtime.memory_model import Activation
 from repro.runtime.sizeof import sizeof
 from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
-from repro.core.completion import AsyncOp, chain
+from repro.net.transport import PeerFailedError
+from repro.core.completion import AsyncOp, OpCompletion, forward
 from repro.core import finish as fin
 
 _EXEC = "spawn.exec"
+#: ``co_flags`` bit of a generator function's code object
+_CO_GENERATOR = inspect.CO_GENERATOR
 
 
-def _peer_failed_error():
-    from repro.net.transport import PeerFailedError
-    return PeerFailedError
+def _is_generator_function(fn) -> bool:
+    """``inspect.isgeneratorfunction``, with a fast path for plain
+    functions (the common case) ahead of the general fallback."""
+    if fn.__class__ is FunctionType:
+        return bool(fn.__code__.co_flags & _CO_GENERATOR)
+    return inspect.isgeneratorfunction(fn)
 
 #: fixed descriptor bytes per spawn (function id, frame key, tag, header)
 SPAWN_HEADER_BYTES = 32
@@ -138,7 +145,7 @@ def spawn(ctx, fn, target: int, *args: Any,
     handle as its first parameter.  Use with ``yield from`` (the call may
     block on flow-control credits).  Returns the operation handle.
     """
-    if not inspect.isgeneratorfunction(fn):
+    if not _is_generator_function(fn):
         raise TypeError(
             f"spawned function {fn!r} must be a generator function "
             "(def f(image, ...): ... yield ...)"
@@ -201,33 +208,9 @@ def spawn(ctx, fn, target: int, *args: Any,
         want_ack=True, kind="spawn",
     )
     op.initiated.set_result(None)
-    chain(receipt.injected, op.local_data)
-    chain(receipt.delivered, op.local_op)
-
-    def _delivery_outcome(f):
-        fin.count_delivery_outcome(machine, ctx.rank, key, stamp, f)
-        # Recovery: a send the transport failed definitively (fresh sends
-        # fail before transmission; in-flight ones only once the peer is
-        # confirmed dead) never runs its function at the destination.
-        # Re-execute it here now — reconciliation cannot, because the
-        # on_send_failed subtraction already rebalanced the frame, so a
-        # finish may conclude before the peer is ever confirmed.
-        if (frame is not None and failure is not None and failure.recover
-                and ctx.rank not in machine.dead_images
-                and isinstance(f.exception(), _peer_failed_error())):
-            for i, entry in enumerate(frame.ledger):
-                if entry[0] == spawn_id:
-                    del frame.ledger[i]
-                    machine.stats.incr("spawn.recovered")
-                    _run_local(machine, ctx.rank, frame, fn, shipped_args,
-                               spawn_id, name)
-                    break
-
-    receipt.delivered.add_done_callback(_delivery_outcome)
-    # The initiator cannot observe execution completion without an event;
-    # global completion is finish's business.  local_op is the strongest
-    # initiator-side guarantee the handle itself carries.
-    chain(receipt.delivered, op.global_done)
+    done = _SpawnCompletion(op, machine, ctx.rank, frame, stamp, spawn_id)
+    receipt.injected.add_done_callback(done.on_injected)
+    receipt.delivered.add_done_callback(done.on_delivered)
 
     if implicit:
         ctx.activation.register(
@@ -237,6 +220,48 @@ def spawn(ctx, fn, target: int, *args: Any,
         if machine.racecheck is not None:
             machine.racecheck.spawn_registered(ctx.activation, op)
     return op
+
+
+class _SpawnCompletion(OpCompletion):
+    """The completion record of one spawn.  On the delivery ack it
+    resolves, in this order: ``local_op``; the frame's delivered (or
+    failed-send) count, with ledger recovery of a lost send; then
+    ``global_done`` — the initiator cannot observe execution completion
+    without an event, so ``global_done`` is finish's business and the
+    handle carries ``local_op`` as its strongest guarantee."""
+
+    __slots__ = ("spawn_id",)
+
+    def __init__(self, op: AsyncOp, machine, rank: int, frame, stamp,
+                 spawn_id: int):
+        super().__init__(op, machine, rank, frame, stamp)
+        self.spawn_id = spawn_id
+
+    def on_delivered(self, f) -> None:
+        op = self.op
+        forward(f, op.local_op)
+        self.count_outcome(f)
+        frame = self.frame
+        machine = self.machine
+        failure = machine.failure
+        if frame is not None and failure is not None and failure.recover:
+            # Recovery: a send the transport failed definitively (fresh
+            # sends fail before transmission; in-flight ones only once
+            # the peer is confirmed dead) never runs its function at the
+            # destination.  Re-execute it here now — reconciliation
+            # cannot, because the on_send_failed subtraction already
+            # rebalanced the frame, so a finish may conclude before the
+            # peer is ever confirmed.
+            if (self.rank not in machine.dead_images
+                    and isinstance(f.exception(), PeerFailedError)):
+                for i, entry in enumerate(frame.ledger):
+                    if entry[0] == self.spawn_id:
+                        del frame.ledger[i]
+                        machine.stats.incr("spawn.recovered")
+                        _run_local(machine, self.rank, frame, entry[2],
+                                   entry[3], self.spawn_id, entry[4])
+                        break
+        forward(f, op.global_done)
 
 
 # --------------------------------------------------------------------- #

@@ -76,6 +76,8 @@ class AMLayer:
         self.params = network.params
         self.credits = credit_manager
         self._handlers: dict[str, Callable] = {}
+        #: default message kind per handler, ``am.<name>``
+        self._kinds: dict[str, str] = {}
         #: names of the generator handlers, which run as tasks
         self._task_handlers: set[str] = set()
 
@@ -98,6 +100,7 @@ class AMLayer:
 
     def _add(self, name: str, fn: Callable) -> None:
         self._handlers[name] = fn
+        self._kinds[name] = "am." + name
         if inspect.isgeneratorfunction(fn):
             self._task_handlers.add(name)
 
@@ -136,7 +139,7 @@ class AMLayer:
         self._check_size(category, payload_size)
         msg = Message(
             src, dst, payload_size, (handler, args, payload),
-            kind=kind or f"am.{handler}",
+            kind=kind or self._kinds[handler],
             on_deliver=self._on_deliver,
         )
         self.network.stats.incr(category.stat)

@@ -172,8 +172,10 @@ class DeliveryReceipt:
 
     def __init__(self, message: Message, want_ack: bool):
         self.message = message
-        self.injected = Future(f"msg{message.seq}.injected")
-        self.delivered = Future(f"msg{message.seq}.delivered") if want_ack else None
+        # Constant names: the receipt's message (with its seq) already
+        # identifies the send, so no string is formatted per message.
+        self.injected = Future("msg.injected")
+        self.delivered = Future("msg.delivered") if want_ack else None
 
 
 class Transport:

@@ -44,15 +44,14 @@ WRITE = "write"
 ANY = "any"
 
 _VALID_CLASSES = frozenset({READ, WRITE})
+#: the four class sets, indexed by ``reads | writes << 1``: shared
+#: constants, so no set is built per operation
+_CLASS_SETS = (frozenset(), frozenset({READ}), frozenset({WRITE}),
+               _VALID_CLASSES)
 
 
 def classes_of(reads_local: bool, writes_local: bool) -> frozenset:
-    out = set()
-    if reads_local:
-        out.add(READ)
-    if writes_local:
-        out.add(WRITE)
-    return frozenset(out)
+    return _CLASS_SETS[(1 if reads_local else 0) | (2 if writes_local else 0)]
 
 
 def allowed_set(arg: Optional[str]) -> frozenset:
@@ -124,6 +123,10 @@ class PendingOp:
                 f"classes={sorted(self.classes)}>")
 
 
+#: smallest pending-op list :meth:`Activation.register` prunes
+_PRUNE_MIN = 32
+
+
 class Activation:
     """A dynamic scope: the unit `cofence` and finish-counting bind to.
 
@@ -136,7 +139,7 @@ class Activation:
     """
 
     __slots__ = ("image_state", "finish_frame", "name", "_pending", "rc",
-                 "cause")
+                 "cause", "_prune_at")
 
     def __init__(self, image_state: "ImageState",
                  finish_frame=None, name: str = "main"):
@@ -144,6 +147,8 @@ class Activation:
         self.finish_frame = finish_frame
         self.name = name
         self._pending: list[PendingOp] = []
+        #: :meth:`register` prunes once the list reaches this length
+        self._prune_at = _PRUNE_MIN
         #: race-detector thread clock (analysis.racecheck), when enabled
         self.rc = None
         #: the finish receive stamp of the message that started this
@@ -168,7 +173,14 @@ class Activation:
     # -- registration ---------------------------------------------------- #
 
     def register(self, op: PendingOp) -> PendingOp:
-        self._pending.append(op)
+        pending = self._pending
+        pending.append(op)
+        if len(pending) >= self._prune_at:
+            # Amortized bound for an activation that never fences: prune
+            # each time the list has doubled since the last prune.  Every
+            # reader prunes first, so this changes no answer.
+            self._prune()
+            self._prune_at = max(2 * len(self._pending), _PRUNE_MIN)
         return op
 
     def _prune(self) -> None:

@@ -137,6 +137,52 @@ def _event_label(entry: Event) -> str:
     return name
 
 
+class TaskRegistry:
+    """The live owned tasks of one substrate, for fail-stop crashes.
+
+    Both substrates hold one (``live_tasks``).  A task created with an
+    ``owner`` adds itself at construction and removes itself the moment
+    it finishes or is killed, so the registry never holds a finished
+    task and a finished task is freed by reference count.  Registration
+    happens in the task constructor right after the id is drawn, so the
+    dict's insertion order is task-id order.
+
+    A killed task's suspended generator is kept here (``_buried``) for
+    the substrate's lifetime: dropping it would let the interpreter
+    close it, which runs its ``finally:`` blocks — completion counting
+    and event posts that a crashed image must never perform."""
+
+    __slots__ = ("_live", "_buried")
+
+    def __init__(self) -> None:
+        self._live: dict = {}
+        self._buried: list = []
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def add(self, task) -> None:
+        self._live[task.tid] = task
+
+    def discard(self, task) -> None:
+        self._live.pop(task.tid, None)
+
+    def bury(self, task) -> None:
+        """Drop a killed task from the live set, keeping its generator
+        from being closed."""
+        self._live.pop(task.tid, None)
+        if task.gen is not None:
+            self._buried.append(task.gen)
+
+    def kill_owner(self, owner: int) -> int:
+        """Fail-stop every live task of ``owner`` (see ``Task.kill``),
+        in task-id order; returns how many were killed."""
+        doomed = [t for t in self._live.values() if t.owner == owner]
+        for task in doomed:
+            task.kill()
+        return len(doomed)
+
+
 class LivenessError(SimulationError):
     """The event queue drained but the workload did not complete —
     quiescence without completion (e.g. a finish wave stalled on a lost
@@ -163,7 +209,7 @@ class Simulator:
     __slots__ = ("_now", "_heap", "_ready", "_single", "_seq", "_stale",
                  "_events_processed", "_running", "_drain_hooks",
                  "_task_seq", "_busy", "_schedule_source", "_batch",
-                 "_tasks")
+                 "live_tasks")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -181,11 +227,10 @@ class Simulator:
         #: same-instant candidate batch of the controlled loop; always
         #: empty outside a controlled run
         self._batch: list[Event] = []
-        #: Owned tasks (tasks.py registers tasks created with owner=...)
-        #: so fail-stop crash injection can halt everything an image was
-        #: running.  Ownerless tasks never appear here, keeping the
-        #: common case free of registry cost.
-        self._tasks: list = []
+        #: Live owned tasks (tasks.py registers tasks created with
+        #: owner=...) so fail-stop crash injection can halt everything an
+        #: image was running.  Ownerless tasks never appear here.
+        self.live_tasks = TaskRegistry()
         #: True whenever the heap or the ready deque holds entries —
         #: conservatively sticky (may stay True after they drain mid-run,
         #: re-cleared at the next natural drain).  Lets the staging check
@@ -224,27 +269,10 @@ class Simulator:
         self._task_seq += 1
         return self._task_seq
 
-    def _register_task(self, task) -> None:
-        """Record an owner-bearing task for :meth:`kill_owner`."""
-        self._tasks.append(task)
-
     def kill_owner(self, owner: int) -> int:
-        """Fail-stop every live task registered under ``owner`` (see
-        ``Task.kill``): the crash half of the fail-stop model.  Done and
-        already-killed tasks are pruned from the registry as a side
-        effect.  Returns the number of tasks killed."""
-        killed = 0
-        keep = []
-        for task in self._tasks:
-            if task._killed or task.done_future.done:
-                continue
-            if task.owner == owner:
-                task.kill()
-                killed += 1
-            else:
-                keep.append(task)
-        self._tasks = keep
-        return killed
+        """Fail-stop every live task of ``owner``: the crash half of the
+        fail-stop model (see :meth:`TaskRegistry.kill_owner`)."""
+        return self.live_tasks.kill_owner(owner)
 
     # ------------------------------------------------------------------ #
     # Scheduling

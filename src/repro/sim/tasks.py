@@ -37,6 +37,7 @@ unchanged.
 from __future__ import annotations
 
 from collections import deque
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.engine import Simulator, SimulationError
@@ -201,7 +202,7 @@ class Task:
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = "",
                  owner: Optional[int] = None):
-        if not hasattr(gen, "send"):
+        if gen.__class__ is not GeneratorType and not hasattr(gen, "send"):
             raise TypeError(
                 f"Task expects a generator; got {type(gen).__name__}. "
                 "Did you call the kernel instead of passing its generator?"
@@ -213,17 +214,19 @@ class Task:
         self.done_future = Future(f"{self.name}.done")
         #: The simulated image this task executes on behalf of, or None
         #: for infrastructure tasks that survive any image's crash.  Only
-        #: owned tasks are registered with the simulator's kill registry.
+        #: live owned tasks are in the substrate's ``live_tasks``.
         self.owner = owner
         self._killed = False
         # Resume state lives on the task (not in event args) and the bound
         # continuation is allocated once: every switch then schedules a
-        # zero-arg callback, hitting the engine's `fn()` fast path.
+        # zero-arg callback, hitting the engine's `fn()` fast path.  The
+        # task -> bound method -> task cycle is cut when the task
+        # finishes (_retire), so a done task dies by reference count.
         self._rvalue: Any = None
         self._rexc: Optional[BaseException] = None
         self._resume_cb = self._resume
         if owner is not None:
-            sim._register_task(self)
+            sim.live_tasks.add(self)
         sim.call_soon(self._resume_cb)
 
     # -- fail-stop support --------------------------------------------- #
@@ -234,14 +237,26 @@ class Task:
         Deliberately does *not* close the generator — ``gen.close()``
         would raise GeneratorExit inside it and run its ``finally:``
         blocks (completion counting, event posts), which a crashed image
-        must not do.  The generator is dropped so its frame is collected;
-        any already-queued resume callback no-ops via ``_killed``.
-        ``done_future`` is left unresolved, mirroring a process that
-        stopped mid-flight."""
+        must not do.  Freeing the generator would close it just the
+        same, so the substrate's registry keeps it (``bury``) for the
+        substrate's lifetime.  Any already-queued resume callback
+        no-ops via ``_killed``: the bound continuation is kept, so that
+        resume still fires as a counted no-op event under the task's own
+        label.  ``done_future`` is left unresolved, mirroring a process
+        that stopped mid-flight."""
         if self._killed or self.done_future.done:
             return
         self._killed = True
+        self.sim.live_tasks.bury(self)
         self.gen = None
+
+    def _retire(self) -> None:
+        """The generator returned or raised: leave the kill registry and
+        drop the generator and the self-referencing continuation."""
+        self.gen = None
+        self._resume_cb = None
+        if self.owner is not None:
+            self.sim.live_tasks.discard(self)
 
     # -- scheduling internals ------------------------------------------ #
 
@@ -269,9 +284,11 @@ class Task:
                 else:
                     directive = gen.send(value)
             except StopIteration as stop:
+                self._retire()
                 self.done_future.set_result(stop.value)
                 return
             except BaseException as e:  # noqa: BLE001 - surfaced via future
+                self._retire()
                 wrapped = TaskFailed(f"task {self.name!r} failed: {e!r}")
                 wrapped.__cause__ = e
                 self.done_future.set_exception(wrapped)

@@ -88,6 +88,34 @@ class TestActivation:
         op.local_data.set_result(None)
         assert act.release_waits() == []
 
+    def test_register_bounds_an_unfenced_list(self):
+        """A main activation that never fences still drops completed ops:
+        register prunes once the list has doubled since its last prune,
+        and fence_waits/release_waits answer exactly as over every op."""
+        act = Activation(_FakeState())
+        ops, peak = [], 0
+        for i in range(2000):
+            op = act.register(make_op(reads=i % 3 != 0, writes=i % 2 == 0))
+            ops.append(op)
+            if i % 10 >= 2:          # 80%: complete at once
+                op.local_data.set_result(None)
+                op.local_op.set_result(None)
+            elif i % 10 == 1:        # 10%: local data done, remote pending
+                op.local_data.set_result(None)
+            peak = max(peak, len(act._pending))
+        live = [op for op in ops
+                if not (op.local_data.done and op.released.done)]
+        assert len(live) == 400
+        assert peak <= 2 * len(live) + 32
+        for arg in (None, READ, WRITE, ANY):
+            allowed = allowed_set(arg)
+            assert act.fence_waits(allowed) == [
+                op.local_data for op in live
+                if not op.local_data.done
+                and not may_pass(op.classes, allowed)]
+        assert act.release_waits() == [op.released for op in live]
+        assert act.pending == live
+
     def test_released_defaults_to_local_op(self):
         op = make_op()
         assert op.released is op.local_op
